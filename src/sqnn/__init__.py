@@ -3,16 +3,13 @@ parameterized one-qubit circuits, polynomial angle functions, gradient
 descent with analytic derivatives, one-shot least-squares training, and
 an experiment reproduction harness."""
 
-from .circuit import (AngleSet, Observable, QubitState, effective_neuron,
-                      expectation_closed_form, expectation_gradient,
-                      expectation_matrix, neuron_matrix, rotation_gate)
+from .circuit import AngleSet, expectation_closed_form, expectation_gradient
 from .datasets import (Dataset, FoldPlan, filter_pair, gen_logic_gate,
                        gen_sinc, gen_two_moons, kfold_plan, load_csv,
                        load_mnist_idx, split)
 from .features import (NormalizationRecord, PolynomialWeightFunction,
-                       build_design_matrix, dct2, dct_features,
-                       eval_angle, eval_beta_classifier, idct2,
-                       normalize_features)
+                       build_design_matrix, dct2, dct_features, eval_angle,
+                       idct2)
 from .linalg import lls_solve, pinv, svd
 from .metrics import (ConfusionMatrix, MetricReport, MetricSummary,
                       confusion, crossval, metric_suite)
@@ -20,24 +17,21 @@ from .model_io import load as load_model
 from .model_io import save as save_model
 from .training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
                        TrainingDiverged, gd_train, hinge_loss, lls_train,
-                       mse_loss, predict, predict_class)
+                       mse_loss)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSet", "Observable", "QubitState", "rotation_gate", "neuron_matrix",
-    "effective_neuron", "expectation_matrix", "expectation_closed_form",
-    "expectation_gradient",
+    "AngleSet", "expectation_closed_form", "expectation_gradient",
     "PolynomialWeightFunction", "NormalizationRecord", "eval_angle",
-    "eval_beta_classifier", "build_design_matrix", "normalize_features",
-    "dct2", "idct2", "dct_features",
+    "build_design_matrix", "dct2", "idct2", "dct_features",
     "svd", "pinv", "lls_solve",
     "Dataset", "FoldPlan", "load_csv", "load_mnist_idx", "filter_pair",
     "gen_logic_gate", "gen_sinc", "gen_two_moons", "kfold_plan", "split",
     "ConfusionMatrix", "MetricReport", "MetricSummary", "confusion",
     "metric_suite", "crossval",
     "GdConfig", "LlsConfig", "TrainedModel", "TrainingDiverged", "InvalidLabel",
-    "mse_loss", "hinge_loss", "gd_train", "lls_train", "predict", "predict_class",
+    "mse_loss", "hinge_loss", "gd_train", "lls_train",
     "save_model", "load_model",
     "__version__",
 ]

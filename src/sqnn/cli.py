@@ -9,6 +9,7 @@ recipes defaults to ./data and can be set with SQNN_DATA_DIR or
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -123,17 +124,49 @@ def cmd_gen(dataset_name, n, noise, n_train, n_val, n_test, noise_sigma, seed, o
         _fail(EXIT_IO, f"cannot write: {exc}")
 
 
-def _trainer_kind(method: str) -> tuple[str, str]:
-    """Map a --method value to (trainer, model_shape)."""
-    method = method.lower()
-    if method == "lls":
-        return "lls", ""
-    if method in ("gd", "gd-full"):
-        return "gd", "full"
-    if method == "gd-reduced":
-        return "gd", "reduced"
-    raise click.UsageError(f"unknown method {method!r}; "
-                           "expected lls, gd, gd-full or gd-reduced")
+# --method value -> (trainer, model_shape)
+_METHODS = {"lls": ("lls", ""), "gd": ("gd", "full"), "gd-full": ("gd", "full"),
+            "gd-reduced": ("gd", "reduced")}
+
+
+def _trainer_options(command):
+    """The trainer options `train` and `crossval` share; their defaults
+    are the config classes' defaults."""
+    gd = training.GdConfig
+    options = [
+        click.option("--method", default="lls", show_default=True,
+                     help="lls, gd (five-angle network), gd-full or gd-reduced."),
+        click.option("--K", "K", default=training.LlsConfig.K, show_default=True,
+                     type=click.IntRange(min=1), help="Polynomial degree / neuron count."),
+        click.option("--lr", "learning_rate", default=gd.learning_rate, show_default=True,
+                     type=click.FloatRange(min=0, min_open=True)),
+        click.option("--max-epochs", default=gd.max_epochs, show_default=True,
+                     type=click.IntRange(min=1)),
+        click.option("--target-loss", default=gd.target_loss, show_default=True,
+                     type=click.FloatRange(min=0)),
+        click.option("--init-scale", default=gd.init_scale, show_default=True,
+                     type=click.FloatRange(min=0)),
+        click.option("--loss", default=gd.loss, show_default=True,
+                     type=click.Choice(["mse", "hinge"])),
+        click.option("--no-normalize", is_flag=True, help="Skip input min-max scaling."),
+    ]
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
+def _trainer_config(method: str, no_normalize: bool, **settings):
+    """(trainer, model_shape, config) for a --method value and the
+    trainer options; each config class takes the settings it has."""
+    if method.lower() not in _METHODS:
+        raise click.UsageError(f"unknown method {method!r}; "
+                               "expected lls, gd, gd-full or gd-reduced")
+    trainer, shape = _METHODS[method.lower()]
+    cls = training.LlsConfig if trainer == "lls" else training.GdConfig
+    names = {f.name for f in fields(cls)}
+    config = cls(normalize=not no_normalize,
+                 **{k: v for k, v in settings.items() if k in names})
+    return trainer, shape, config
 
 
 @main.command("train")
@@ -142,49 +175,34 @@ def _trainer_kind(method: str) -> tuple[str, str]:
 @label_map_option
 @drop_cols_option
 @no_scale_option
-@click.option("--method", default="lls", show_default=True,
-              help="lls, gd (five-angle network), gd-full or gd-reduced.")
-@click.option("--K", "k_degree", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Polynomial degree / neuron count.")
-@click.option("--lr", default=0.05, show_default=True, type=click.FloatRange(min=0, min_open=True))
-@click.option("--max-epochs", default=500, show_default=True, type=click.IntRange(min=1))
-@click.option("--target-loss", default=0.0, show_default=True, type=click.FloatRange(min=0))
-@click.option("--init-scale", default=0.1, show_default=True, type=click.FloatRange(min=0))
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--loss", default="mse", show_default=True,
-              type=click.Choice(["mse", "hinge"]))
-@click.option("--no-normalize", is_flag=True, help="Skip input min-max scaling.")
-@click.option("--rcond", default=None, type=float, help="LLS truncation threshold.")
+@_trainer_options
+@click.option("--seed", default=training.GdConfig.seed, show_default=True, type=int)
+@click.option("--rcond", default=training.LlsConfig.rcond, type=float,
+              help="LLS truncation threshold.")
 @click.option("--out", "model_path", required=True, type=click.Path(),
               help="Where to write the trained model.")
 @click.option("--loss-curve", default=None, type=click.Path(),
               help="Write per-epoch loss values as CSV (gd only).")
 def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets,
-              method, k_degree, lr, max_epochs, target_loss, init_scale, seed,
-              loss, no_normalize, rcond, model_path, loss_curve):
+              model_path, loss_curve, **settings):
     """Fit a model on a CSV dataset and save it."""
     data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols)
-    trainer, shape = _trainer_kind(method)
+    trainer, shape, config = _trainer_config(**settings)
     if trainer == "lls":
-        config = training.LlsConfig(K=k_degree, rcond=rcond, normalize=not no_normalize)
         model = training.lls_train(data, config)
         scaled = (model.normalization.apply_features(data.inputs)
                   if model.normalization is not None else data.inputs)
-        design = features.build_design_matrix(scaled, k_degree)
+        design = features.build_design_matrix(scaled, config.K)
         rhs = training.arctanh_labels(data.targets, config.epsilon)
         residual = float(np.mean((design @ model.beta.flat() - rhs) ** 2))
         click.echo(f"lls fit: residual (arctanh space) = {residual:.6g}, "
                    f"training mse = {training.mse_loss(model.predict(data.inputs), data.targets):.6g}")
     else:
-        config = training.GdConfig(learning_rate=lr, max_epochs=max_epochs,
-                                   target_loss=target_loss, seed=seed,
-                                   init_scale=init_scale, K=k_degree, loss=loss,
-                                   normalize=not no_normalize)
         try:
             model, history = training.gd_train(data, config, model_shape=shape)
         except training.TrainingDiverged as exc:
             _fail(EXIT_FAILURE, str(exc))
-        click.echo(f"gd fit ({shape}): final {loss} = {history[-1]:.6g} "
+        click.echo(f"gd fit ({shape}): final {config.loss} = {history[-1]:.6g} "
                    f"after {len(history)} epoch(s)")
         if loss_curve:
             _write_rows(loss_curve, ["epoch", "loss"],
@@ -270,35 +288,21 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
 @label_map_option
 @drop_cols_option
 @no_scale_option
-@click.option("--method", default="lls", show_default=True)
-@click.option("--K", "k_degree", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--lr", default=0.05, show_default=True, type=click.FloatRange(min=0, min_open=True))
-@click.option("--max-epochs", default=500, show_default=True, type=click.IntRange(min=1))
-@click.option("--target-loss", default=0.0, show_default=True, type=click.FloatRange(min=0))
-@click.option("--init-scale", default=0.1, show_default=True, type=click.FloatRange(min=0))
-@click.option("--loss", default="mse", show_default=True, type=click.Choice(["mse", "hinge"]))
-@click.option("--no-normalize", is_flag=True)
+@_trainer_options
 @click.option("--task", default="classification", show_default=True,
               type=click.Choice(["regression", "classification"]))
 @click.option("--k", "k_folds", default=10, show_default=True, type=click.IntRange(min=2))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=training.GdConfig.seed, show_default=True, type=int,
+              help="Seeds both the fold plan and the gd initialization.")
 @click.option("--format", "fmt", default="table", show_default=True,
               type=click.Choice(["table", "csv"]))
 def cmd_crossval(data_path, target_column, label_map, drop_cols, no_scale_targets,
-                 method, k_degree, lr, max_epochs, target_loss, init_scale, loss,
-                 no_normalize, task, k_folds, seed, fmt):
+                 task, k_folds, seed, fmt, **settings):
     """k-fold cross-validation; prints mean and std per metric."""
     data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols)
-    trainer, shape = _trainer_kind(method)
+    trainer, shape, config = _trainer_config(seed=seed, **settings)
     if k_folds > data.n:
         raise click.UsageError(f"--k {k_folds} exceeds the dataset size n={data.n}")
-    if trainer == "lls":
-        config = training.LlsConfig(K=k_degree, normalize=not no_normalize)
-    else:
-        config = training.GdConfig(learning_rate=lr, max_epochs=max_epochs,
-                                   target_loss=target_loss, seed=seed,
-                                   init_scale=init_scale, K=k_degree, loss=loss,
-                                   normalize=not no_normalize)
     try:
         summary = metrics.crossval(data, trainer=trainer, config=config,
                                    model_shape=shape or "reduced", task=task,
@@ -344,6 +348,8 @@ def cmd_reproduce(recipe_name, data_dir, pair, dct_keep):
         raise click.UsageError(str(exc))
     for line in result.report_lines():
         click.echo(line)
+    if not result.assertions:
+        _fail(EXIT_FAILURE, f"recipe {recipe_name} checked no bound")
     if not result.passed:
         _fail(EXIT_FAILURE, f"recipe {recipe_name} failed "
               f"{sum(not a.passed for a in result.assertions)} assertion(s)")

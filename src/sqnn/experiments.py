@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -158,26 +158,15 @@ def load_recipe(name: str) -> dict:
     return recipe
 
 
-def _gd_config(params: dict) -> training.GdConfig:
-    return training.GdConfig(
-        learning_rate=params.get("learning_rate", 0.05),
-        max_epochs=params.get("max_epochs", 500),
-        target_loss=params.get("target_loss", 0.0),
-        seed=params.get("seed", 0),
-        init_scale=params.get("init_scale", 0.1),
-        K=params.get("K", 1),
-        loss=params.get("loss", "mse"),
-        normalize=params.get("normalize", True),
-    )
-
-
-def _lls_config(params: dict) -> training.LlsConfig:
-    return training.LlsConfig(
-        K=params.get("K", 1),
-        epsilon=params.get("epsilon", 1e-16),
-        rcond=params.get("rcond"),
-        normalize=params.get("normalize", True),
-    )
+def _config(cls, trainer: dict):
+    """A recipe's trainer settings, minus `shape`, as a GdConfig or
+    LlsConfig; a key that names no setting raises ValueError."""
+    settings = {k: v for k, v in trainer.items() if k != "shape"}
+    unknown = sorted(set(settings) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"recipe trainer has unknown {cls.__name__} "
+                         f"setting(s): {', '.join(unknown)}")
+    return cls(**settings)
 
 
 def _check(values: dict[str, float], spec: dict) -> AssertionResult:
@@ -200,7 +189,7 @@ def _check(values: dict[str, float], spec: dict) -> AssertionResult:
 
 def _run_logic_gates(recipe: dict, result: RecipeResult, log) -> None:
     trainer = recipe["trainer"]
-    config = _gd_config(trainer)
+    config = _config(training.GdConfig, trainer)
     for gate in recipe.get("gates", sorted(datasets.LOGIC_GATES)):
         data = datasets.gen_logic_gate(gate)
         model, history = training.gd_train(data, config,
@@ -212,7 +201,7 @@ def _run_logic_gates(recipe: dict, result: RecipeResult, log) -> None:
 
 def _run_sinc(recipe: dict, result: RecipeResult, log) -> None:
     trainer = recipe["trainer"]
-    config = _gd_config(trainer)
+    config = _config(training.GdConfig, trainer)
     gen = recipe.get("dataset", {})
     for variant in recipe["variants"]:
         name = variant["name"]
@@ -250,7 +239,7 @@ def _run_regression_crossval(recipe: dict, result: RecipeResult, log,
     log(f"  loaded {data.tag}: n={data.n} p={data.p} (dropped {data.dropped_rows} rows)")
     trainer = recipe["trainer"]
     for K in recipe["K_values"]:
-        config = _gd_config({**trainer, "K": K})
+        config = _config(training.GdConfig, {**trainer, "K": K})
         summary = metrics.crossval(
             data, trainer="gd", config=config,
             model_shape=trainer.get("shape", "reduced"), task="regression",
@@ -268,7 +257,7 @@ def _run_classification_crossval(recipe: dict, result: RecipeResult, log,
     log(f"  loaded {data.tag}: n={data.n} p={data.p}")
     trainer = recipe["trainer"]
     for K in recipe["K_values"]:
-        config = _lls_config({**trainer, "K": K})
+        config = _config(training.LlsConfig, {**trainer, "K": K})
         summary = metrics.crossval(
             data, trainer="lls", config=config, task="classification",
             k=recipe.get("k", 10), seed=recipe.get("cv_seed", 0))
@@ -288,7 +277,7 @@ def _run_moons(recipe: dict, result: RecipeResult, log) -> None:
                                   noise=gen.get("noise", 0.07),
                                   seed=gen.get("test_seed", 1000))
     for K in recipe["K_values"]:
-        config = _lls_config({**recipe["trainer"], "K": K})
+        config = _config(training.LlsConfig, {**recipe["trainer"], "K": K})
         model = training.lls_train(train, config)
         report = metrics.metric_suite(metrics.confusion(
             model.predict_class(test.inputs), test.targets))
@@ -304,7 +293,7 @@ def _run_mnist_pairs(recipe: dict, result: RecipeResult, log,
     test_images, test_labels = datasets.load_mnist_idx(paths[2], paths[3])
     pairs = [tuple(pair)] if pair else [tuple(p) for p in recipe["pairs"]]
     dct_block = dct_keep if dct_keep is not None else recipe.get("dct_block")
-    config = _lls_config(recipe["trainer"])
+    config = _config(training.LlsConfig, recipe["trainer"])
     for a, b in pairs:
         start = time.monotonic()
         train = datasets.filter_pair(train_images, train_labels, a, b, dct_block=dct_block)

@@ -1,10 +1,10 @@
 """Input-to-angle feature maps and preprocessing.
 
 The polynomial weight function sums per-power dot products of the input
-coordinates, c0 + sum_k sum_j c_kj * x_j^k. It can feed a rotation angle
-directly, or through arccos(tanh(.)) so that the resulting model output
-cos(angle) equals tanh of the polynomial. The same power expansion, laid
-out row-wise, is the design matrix used by the least-squares trainer.
+coordinates, c0 + sum_k sum_j c_kj * x_j^k, and feeds a rotation angle.
+The least-squares model's output tanh of the polynomial is cos of the
+angle arccos(tanh(.)). The same power expansion, laid out row-wise, is
+the design matrix used by the least-squares trainer.
 Image preprocessing uses the orthonormal type-II DCT.
 """
 
@@ -19,11 +19,8 @@ __all__ = [
     "PolynomialWeightFunction",
     "NormalizationRecord",
     "eval_angle",
-    "eval_beta_classifier",
     "build_design_matrix",
     "fit_feature_scaling",
-    "normalize_features",
-    "fit_target_scaling",
     "dct2",
     "idct2",
     "dct_features",
@@ -85,15 +82,6 @@ def eval_angle(f: PolynomialWeightFunction, x):
             powers = powers * rows
         total = total + powers @ f.c[k]
     return float(total[0]) if single else total
-
-
-def eval_beta_classifier(f: PolynomialWeightFunction, x):
-    """Angle arccos(tanh(poly(x))), in [0, pi].
-
-    The model output cos of this angle equals tanh(poly(x)), so it stays
-    strictly inside (-1, 1).
-    """
-    return np.arccos(np.tanh(eval_angle(f, x)))
 
 
 def build_design_matrix(inputs, K: int) -> np.ndarray:
@@ -163,26 +151,6 @@ def fit_feature_scaling(inputs) -> NormalizationRecord:
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("need at least one sample to fit feature scaling")
     return NormalizationRecord(feature_min=X.min(axis=0), feature_max=X.max(axis=0))
-
-
-def normalize_features(inputs) -> tuple[np.ndarray, NormalizationRecord]:
-    """Min-max scale each feature to [-1, 1]; constant features map to 0.
-
-    Returns the scaled inputs and the record needed to apply the same
-    affine map to held-out data.
-    """
-    record = fit_feature_scaling(inputs)
-    return record.apply_features(np.asarray(inputs, dtype=float)), record
-
-
-def fit_target_scaling(targets, record: NormalizationRecord | None = None) -> NormalizationRecord:
-    y = np.asarray(targets, dtype=float)
-    lo, hi = float(y.min()), float(y.max())
-    if record is None:
-        record = NormalizationRecord(feature_min=None, feature_max=None)
-    return NormalizationRecord(feature_min=record.feature_min,
-                               feature_max=record.feature_max,
-                               target_min=lo, target_max=hi)
 
 
 def dct2(image) -> np.ndarray:

@@ -46,6 +46,16 @@ def svd(a):
     return u, s, vt.T
 
 
+def _kept(s: np.ndarray, shape: tuple[int, int], rcond: float | None) -> np.ndarray:
+    """Mask of the singular values above rcond * s_max, the one truncation
+    rule of this module; rcond defaults to default_rcond(shape)."""
+    if rcond is None:
+        rcond = default_rcond(shape)
+    if rcond < 0:
+        raise ValueError(f"rcond must be non-negative, got {rcond}")
+    return s > rcond * (s[0] if s.size else 0.0)
+
+
 def pinv(a, rcond: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse via truncated SVD.
 
@@ -53,13 +63,8 @@ def pinv(a, rcond: float | None = None) -> np.ndarray:
     default rcond is eps * max(n, m).
     """
     m = _as_matrix(a)
-    if rcond is None:
-        rcond = default_rcond(m.shape)
-    if rcond < 0:
-        raise ValueError(f"rcond must be non-negative, got {rcond}")
     u, s, v = svd(m)
-    cutoff = rcond * (s[0] if s.size else 0.0)
-    inv_s = np.where(s > cutoff, np.divide(1.0, s, where=s > 0, out=np.zeros_like(s)), 0.0)
+    inv_s = np.divide(1.0, s, where=_kept(s, m.shape, rcond), out=np.zeros_like(s))
     return (v * inv_s) @ u.T
 
 
@@ -75,12 +80,6 @@ def lls_solve(x, y, rcond: float | None = None) -> np.ndarray:
         raise ValueError(f"right-hand side has {rhs.size} entries, expected {m.shape[0]}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite entries")
-    if rcond is None:
-        rcond = default_rcond(m.shape)
-    if rcond < 0:
-        raise ValueError(f"rcond must be non-negative, got {rcond}")
     u, s, v = svd(m)
-    cutoff = rcond * (s[0] if s.size else 0.0)
-    projected = u.T @ rhs
-    scaled = np.where(s > cutoff, np.divide(projected, s, where=s > 0, out=np.zeros_like(s)), 0.0)
+    scaled = np.divide(u.T @ rhs, s, where=_kept(s, m.shape, rcond), out=np.zeros_like(s))
     return v @ scaled

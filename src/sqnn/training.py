@@ -11,7 +11,7 @@ of the squared error in the transformed space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -30,13 +30,10 @@ __all__ = [
     "hinge_loss",
     "gd_train",
     "lls_train",
-    "predict",
-    "predict_class",
     "arctanh_labels",
 ]
 
 DIVERGENCE_CAP = 1e6
-TRAINABLE_ALL = frozenset({"coefficients", "theta", "omega"})
 
 
 class TrainingDiverged(RuntimeError):
@@ -89,12 +86,7 @@ def _loss_and_residual(kind: str, yhat: np.ndarray, y: np.ndarray):
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Gradient-descent settings.
-
-    `trainable` selects which parameter groups receive updates; the
-    reduced network has no state/observable angles so only the
-    "coefficients" entry matters there.
-    """
+    """Gradient-descent settings."""
 
     learning_rate: float = 0.05
     max_epochs: int = 500
@@ -103,7 +95,6 @@ class GdConfig:
     init_scale: float = 0.1
     K: int = 1
     loss: str = "mse"
-    trainable: frozenset = TRAINABLE_ALL
     normalize: bool = True
 
     def __post_init__(self):
@@ -117,9 +108,6 @@ class GdConfig:
             raise ValueError(f"init_scale must be non-negative, got {self.init_scale}")
         if self.K < 1:
             raise ValueError(f"K must be positive, got {self.K}")
-        unknown = set(self.trainable) - TRAINABLE_ALL
-        if unknown:
-            raise ValueError(f"unknown trainable entries {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +123,9 @@ class LlsConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"K must be positive, got {self.K}")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if not 0 < self.epsilon < 1 or 1.0 - self.epsilon == 1.0:
+            raise ValueError(f"epsilon must be in (0, 1) with 1 - epsilon < 1, "
+                             f"got {self.epsilon}")
         if self.rcond is not None and self.rcond < 0:
             raise ValueError(f"rcond must be non-negative, got {self.rcond}")
 
@@ -194,14 +183,6 @@ class TrainedModel:
         return float(cls) if np.isscalar(pred) or np.ndim(pred) == 0 else cls
 
 
-def predict(model: TrainedModel, x):
-    return model.predict(x)
-
-
-def predict_class(model: TrainedModel, x):
-    return model.predict_class(x)
-
-
 def _fit_scaling(data, normalize: bool):
     """Scaled inputs plus the record a trained model must carry: fitted
     feature ranges and, when the dataset's targets were rescaled at load
@@ -221,6 +202,47 @@ def _fit_scaling(data, normalize: bool):
     return inputs, record
 
 
+def _reduced_value_and_grad(design, w):
+    """cos(beta) for beta = design @ w: the |0> input measured in the
+    computational basis after Ry(beta). Equals the five-angle expectation
+    with the other four angles at zero."""
+    beta = design @ w
+    return np.cos(beta), lambda res: (res * -np.sin(beta)) @ design
+
+
+def _full_value_and_grad(design, w):
+    """Five-angle expectation; w holds the alpha, beta and gamma
+    coefficients followed by the scalar theta and omega."""
+    n = design.shape[1]
+    angles = (design @ w[:n], design @ w[n:2 * n], design @ w[2 * n:3 * n], w[-2], w[-1])
+
+    def grad(res):
+        d_al, d_be, d_ga, d_th, d_om = circuit.gradient_batch(*angles)
+        return np.concatenate([(res * d_al) @ design, (res * d_be) @ design,
+                               (res * d_ga) @ design, [res @ d_th, res @ d_om]])
+
+    return circuit.expectation_batch(*angles), grad
+
+
+def _reduced_model(w, n, K, p) -> dict:
+    return {"kind": "gd-reduced", "beta": PolynomialWeightFunction.from_flat(w, K, p)}
+
+
+def _full_model(w, n, K, p) -> dict:
+    alpha, beta, gamma = (PolynomialWeightFunction.from_flat(w[i * n:(i + 1) * n], K, p)
+                          for i in range(3))
+    return {"kind": "gd-full", "alpha": alpha, "beta": beta, "gamma": gamma,
+            "theta": float(w[-2]), "omega": float(w[-1])}
+
+
+# Per shape: parameter count for n design columns, value_and_grad(design,
+# w) -> (predictions, residual -> loss gradient), and the model fields.
+_GD_SHAPES = {
+    "reduced": (lambda n: n, _reduced_value_and_grad, _reduced_model),
+    "full": (lambda n: 3 * n + 2, _full_value_and_grad, _full_model),
+}
+
+
 def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     """Batch gradient descent; returns (model, loss_history).
 
@@ -231,60 +253,30 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     it reaches `target_loss` or after `max_epochs` updates, and aborts if
     the loss leaves the finite range.
     """
-    if model_shape not in ("reduced", "full"):
+    if model_shape not in _GD_SHAPES:
         raise ValueError(f"model_shape must be 'reduced' or 'full', got {model_shape!r}")
     if data.n < 1:
         raise ValueError("dataset is empty")
+    n_params, value_and_grad, model_fields = _GD_SHAPES[model_shape]
     y = data.targets
     u, record = _fit_scaling(data, config.normalize)
     with np.errstate(over="ignore"):  # extreme powers overflow to inf and
         design = build_design_matrix(u, config.K)  # trip the divergence guard
     n_coef = design.shape[1]
-
     rng = np.random.default_rng(config.seed)
-    full = model_shape == "full"
-    n_params = (3 * n_coef + 2) if full else n_coef
-    w = rng.uniform(-config.init_scale, config.init_scale, n_params)
-
-    coef_on = "coefficients" in config.trainable
-    theta_on = full and "theta" in config.trainable
-    omega_on = full and "omega" in config.trainable
-
-    def forward(w):
-        if full:
-            wa, wb, wg = w[:n_coef], w[n_coef:2 * n_coef], w[2 * n_coef:3 * n_coef]
-            al, be, ga = design @ wa, design @ wb, design @ wg
-            th, om = w[-2], w[-1]
-        else:
-            al = ga = th = om = 0.0
-            be = design @ w
-        yhat = circuit.expectation_batch(al, be, ga, th, om)
-        return yhat, (al, be, ga, th, om)
+    w = rng.uniform(-config.init_scale, config.init_scale, n_params(n_coef))
 
     history: list[float] = []
     # non-finite intermediates are expected on the way to the divergence
     # guard below, so numpy's warnings are silenced for the loop
     with np.errstate(invalid="ignore", over="ignore"):
-        yhat, angles = forward(w)
+        yhat, grad = value_and_grad(design, w)
         loss, res = _loss_and_residual(config.loss, yhat, y)
-        for epoch in range(config.max_epochs):
+        for _ in range(config.max_epochs):
             if loss <= config.target_loss:
                 break
-            d_al, d_be, d_ga, d_th, d_om = circuit.gradient_batch(*angles)
-            if full:
-                grad = np.empty_like(w)
-                if coef_on:
-                    grad[:n_coef] = (res * d_al) @ design
-                    grad[n_coef:2 * n_coef] = (res * d_be) @ design
-                    grad[2 * n_coef:3 * n_coef] = (res * d_ga) @ design
-                else:
-                    grad[:3 * n_coef] = 0.0
-                grad[-2] = res @ d_th if theta_on else 0.0
-                grad[-1] = res @ d_om if omega_on else 0.0
-            else:
-                grad = ((res * d_be) @ design) if coef_on else np.zeros_like(w)
-            w = w - config.learning_rate * grad
-            yhat, angles = forward(w)
+            w = w - config.learning_rate * grad(res)
+            yhat, grad = value_and_grad(design, w)
             loss, res = _loss_and_residual(config.loss, yhat, y)
             history.append(loss)
             if not np.isfinite(loss) or loss > DIVERGENCE_CAP:
@@ -292,31 +284,10 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     if not history:
         history.append(loss)
 
-    K, p = config.K, data.p
-    if full:
-        model = TrainedModel(
-            kind="gd-full", K=K, p=p,
-            alpha=PolynomialWeightFunction.from_flat(w[:n_coef], K, p),
-            beta=PolynomialWeightFunction.from_flat(w[n_coef:2 * n_coef], K, p),
-            gamma=PolynomialWeightFunction.from_flat(w[2 * n_coef:3 * n_coef], K, p),
-            theta=float(w[-2]), omega=float(w[-1]),
-            normalization=record, config=_gd_snapshot(config, model_shape))
-    else:
-        model = TrainedModel(
-            kind="gd-reduced", K=K, p=p,
-            beta=PolynomialWeightFunction.from_flat(w, K, p),
-            normalization=record, config=_gd_snapshot(config, model_shape))
+    model = TrainedModel(K=config.K, p=data.p, normalization=record,
+                         config={"trainer": "gd", "shape": model_shape, **asdict(config)},
+                         **model_fields(w, n_coef, config.K, data.p))
     return model, history
-
-
-def _gd_snapshot(config: GdConfig, shape: str) -> dict:
-    return {
-        "trainer": "gd", "shape": shape, "learning_rate": config.learning_rate,
-        "max_epochs": config.max_epochs, "target_loss": config.target_loss,
-        "seed": config.seed, "init_scale": config.init_scale, "K": config.K,
-        "loss": config.loss, "trainable": sorted(config.trainable),
-        "normalize": config.normalize,
-    }
 
 
 def arctanh_labels(targets, epsilon: float = 1e-16) -> np.ndarray:
@@ -345,5 +316,4 @@ def lls_train(data, config: LlsConfig = LlsConfig()) -> TrainedModel:
         kind="lls", K=config.K, p=data.p,
         beta=PolynomialWeightFunction.from_flat(coeffs, config.K, data.p),
         normalization=record,
-        config={"trainer": "lls", "K": config.K, "epsilon": config.epsilon,
-                "rcond": config.rcond, "normalize": config.normalize})
+        config={"trainer": "lls", **asdict(config)})

@@ -1,0 +1,134 @@
+"""Explicit 2x2 matrix path of the single-qubit circuit: the reference
+the closed form in sqnn.circuit is checked against.
+
+Rotation gates, the three-rotation neuron Rz(gamma)Ry(beta)Rz(alpha), a
+projector-valued observable and the measured expectation value, built by
+matrix-vector products. Unlike the closed form it also models nonzero
+state and projector phases and arbitrary observable eigenvalues.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from sqnn.circuit import AngleSet, _require_finite
+
+
+@dataclass(frozen=True)
+class QubitState:
+    """Input state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
+
+    The relative phase phi defaults to 0; a nonzero value only matters for
+    the matrix evaluation path.
+    """
+
+    theta: float = 0.0
+    phi: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(theta=self.theta, phi=self.phi)
+
+    def amplitudes(self) -> np.ndarray:
+        return np.array(
+            [math.cos(self.theta / 2),
+             np.exp(1j * self.phi) * math.sin(self.theta / 2)],
+            dtype=complex,
+        )
+
+
+@dataclass(frozen=True)
+class Observable:
+    """Two-outcome observable lambda0*P0 + lambda1*P1.
+
+    P1 is the rank-one projector onto the Bloch direction (omega, varphi)
+    and P0 = I - P1. The eigenvalues are stored rather than hardcoded, but
+    every trained model in this package uses the default +1/-1 pair.
+    """
+
+    omega: float = 0.0
+    varphi: float = 0.0
+    lambda0: float = 1.0
+    lambda1: float = -1.0
+
+    def __post_init__(self):
+        _require_finite(omega=self.omega, varphi=self.varphi,
+                        lambda0=self.lambda0, lambda1=self.lambda1)
+
+    def projector_p1(self) -> np.ndarray:
+        c, s = math.cos(self.omega / 2), math.sin(self.omega / 2)
+        ph = np.exp(1j * self.varphi)
+        return np.array([[c * c, c * s * ph.conjugate()],
+                         [c * s * ph, s * s]], dtype=complex)
+
+    def projector_p0(self) -> np.ndarray:
+        return np.eye(2, dtype=complex) - self.projector_p1()
+
+    def basis_change(self) -> np.ndarray:
+        """Unitary whose columns are unit eigenvectors of the projector
+        pair, so a computational-basis measurement after applying it
+        realizes the observable."""
+        c, s = math.cos(self.omega / 2), math.sin(self.omega / 2)
+        ph = np.exp(1j * self.varphi)
+        return np.array([[c, -s * ph.conjugate()], [s * ph, c]], dtype=complex)
+
+
+def rotation_gate(axis: str, angle: float) -> np.ndarray:
+    """Standard single-qubit rotation matrix about the x, y or z axis.
+
+    Rx(t) = [[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]]
+    Ry(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]
+    Rz(t) = diag(e^{-i t/2}, e^{i t/2})
+    """
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle!r}")
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    if axis == "x":
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    if axis == "y":
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if axis == "z":
+        return np.array([[c - 1j * s, 0], [0, c + 1j * s]], dtype=complex)
+    raise ValueError(f"unknown rotation axis {axis!r}, expected 'x', 'y' or 'z'")
+
+
+def neuron_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """The general single-qubit neuron Rz(gamma) @ Ry(beta) @ Rz(alpha),
+    the most general unitary up to a global phase."""
+    return rotation_gate("z", gamma) @ rotation_gate("y", beta) @ rotation_gate("z", alpha)
+
+
+def effective_neuron(neurons) -> np.ndarray:
+    """Collapse a chain of neurons into one unitary.
+
+    `neurons` is a sequence of (alpha, beta, gamma) triples applied in
+    order, so the result is N_K @ ... @ N_2 @ N_1.
+    """
+    triples = list(neurons)
+    if not triples:
+        raise ValueError("effective_neuron requires at least one neuron")
+    acc = np.eye(2, dtype=complex)
+    for alpha, beta, gamma in triples:
+        acc = neuron_matrix(alpha, beta, gamma) @ acc
+    return acc
+
+
+def expectation_matrix(angles: AngleSet,
+                       state: QubitState | None = None,
+                       obs: Observable | None = None) -> float:
+    """Expectation value via explicit matrix-vector products.
+
+    When `state` or `obs` is omitted it is built from the angle set with
+    zero phase. Passing them explicitly allows nonzero state/projector
+    phases, which the closed-form path deliberately does not model.
+    """
+    if state is None:
+        state = QubitState(theta=angles.theta)
+    if obs is None:
+        obs = Observable(omega=angles.omega)
+    amp = obs.basis_change() @ neuron_matrix(angles.alpha, angles.beta, angles.gamma) @ state.amplitudes()
+    p0 = float(np.abs(amp[0]) ** 2)
+    p1 = float(np.abs(amp[1]) ** 2)
+    return obs.lambda0 * p0 + obs.lambda1 * p1

@@ -5,10 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sqnn.circuit import (AngleSet, Observable, QubitState, effective_neuron,
-                          expectation_closed_form, expectation_gradient,
-                          expectation_matrix, neuron_matrix, rotation_gate)
+from sqnn.circuit import (AngleSet, expectation_batch, expectation_closed_form,
+                          expectation_gradient, gradient_batch)
+
+from oracle import (Observable, QubitState, effective_neuron, expectation_matrix,
+                    neuron_matrix, rotation_gate)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -253,3 +257,23 @@ class TestGradient:
                          gamma=rng.uniform(-7, 7), theta=rng.uniform(-7, 7),
                          omega=0.0)
             assert expectation_gradient(a)[2] == pytest.approx(0.0, abs=1e-15)
+
+
+BETAS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestReducedIdentity:
+    """With alpha = gamma = theta = omega = 0 the five-angle kernels are
+    exactly cos(beta) and -sin(beta): the reduced trainer computes these
+    directly and must keep the five-angle results bit for bit."""
+
+    @given(BETAS)
+    def test_scalar(self, beta):
+        assert expectation_batch(0, beta, 0, 0, 0) == np.cos(beta)
+        assert gradient_batch(0, beta, 0, 0, 0)[1] == -np.sin(beta)
+
+    @given(st.lists(BETAS, min_size=1, max_size=64))
+    def test_array(self, betas):
+        beta = np.array(betas)
+        assert np.array_equal(expectation_batch(0.0, beta, 0.0, 0.0, 0.0), np.cos(beta))
+        assert np.array_equal(gradient_batch(0.0, beta, 0.0, 0.0, 0.0)[1], -np.sin(beta))

@@ -180,6 +180,11 @@ class TestReproduce:
         assert "[PASS]" in result.output
         assert "all 2 assertion(s) passed" in result.output
 
+    def test_run_that_checked_no_bound_fails(self, runner):
+        # --pair keeps only bounds of that pair; table4-moons has none
+        result = invoke(runner, "reproduce", "table4-moons", "--pair", 1, 2, expect=1)
+        assert "recipe table4-moons checked no bound" in result.output
+
     def test_missing_data_exits_3_with_instructions(self, runner, tmp_path):
         result = invoke(runner, "reproduce", "table6-mnist",
                         "--data-dir", tmp_path / "empty", expect=3)

@@ -77,6 +77,14 @@ def test_unproduced_value_fails_assertion(monkeypatch, tmp_path):
     assert len(missing) == 1
 
 
+def test_unknown_trainer_setting_rejected(monkeypatch):
+    recipe = json.loads(json.dumps(load_recipe("table4-moons")))
+    recipe["trainer"]["learning_rte"] = 0.1
+    monkeypatch.setattr(experiments, "load_recipe", lambda name: recipe)
+    with pytest.raises(ValueError, match="learning_rte"):
+        run_recipe("table4-moons")
+
+
 def write_synthetic_ccpp(path, n=400, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, (n, 4))

@@ -5,8 +5,7 @@ import pytest
 
 from sqnn.features import (NormalizationRecord, PolynomialWeightFunction,
                            build_design_matrix, dct2, dct_features,
-                           eval_angle, eval_beta_classifier, fit_target_scaling,
-                           idct2, normalize_features)
+                           eval_angle, fit_feature_scaling, idct2)
 
 
 def horner_eval(f, x):
@@ -88,34 +87,6 @@ class TestEvalAngle:
             assert batch[i] == pytest.approx(eval_angle(f, X[i]), abs=1e-14)
 
 
-class TestBetaClassifier:
-    def test_zero_polynomial_gives_half_pi(self):
-        f = PolynomialWeightFunction(K=1, p=1)
-        assert eval_beta_classifier(f, [3.0]) == pytest.approx(np.pi / 2, abs=1e-15)
-
-    def test_asymptote(self):
-        f = PolynomialWeightFunction(K=1, p=1, c0=50.0)
-        beta = eval_beta_classifier(f, [0.0])
-        assert beta == pytest.approx(0.0, abs=1e-12)
-        assert np.cos(beta) == pytest.approx(1.0, abs=1e-12)
-
-    def test_cos_is_tanh_identity(self):
-        rng = np.random.default_rng(3)
-        f = PolynomialWeightFunction(K=2, p=3, c0=rng.normal(),
-                                     c=rng.normal(size=(2, 3)))
-        for _ in range(100):
-            x = rng.uniform(-2, 2, 3)
-            assert np.cos(eval_beta_classifier(f, x)) == pytest.approx(
-                np.tanh(eval_angle(f, x)), abs=1e-12)
-
-    def test_range(self):
-        rng = np.random.default_rng(4)
-        f = PolynomialWeightFunction(K=1, p=1, c0=0.0, c=np.array([[10.0]]))
-        for x in rng.uniform(-100, 100, 200):
-            beta = eval_beta_classifier(f, [x])
-            assert 0.0 <= beta <= np.pi
-
-
 class TestDesignMatrix:
     def test_k1_zero_row(self):
         np.testing.assert_array_equal(build_design_matrix([[0.0, 0.0]], K=1),
@@ -168,33 +139,36 @@ class TestDesignMatrix:
 
 class TestNormalization:
     def test_affine_endpoints(self):
-        scaled, record = normalize_features(np.array([[0.0], [5.0], [10.0]]))
-        np.testing.assert_allclose(scaled.ravel(), [-1.0, 0.0, 1.0], atol=1e-15)
+        inputs = np.array([[0.0], [5.0], [10.0]])
+        record = fit_feature_scaling(inputs)
+        np.testing.assert_allclose(record.apply_features(inputs).ravel(),
+                                   [-1.0, 0.0, 1.0], atol=1e-15)
         assert record.feature_min[0] == 0.0
         assert record.feature_max[0] == 10.0
 
     def test_constant_column_maps_to_zero(self):
-        scaled, _ = normalize_features(np.array([[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]]))
+        inputs = np.array([[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]])
+        scaled = fit_feature_scaling(inputs).apply_features(inputs)
         np.testing.assert_array_equal(scaled[:, 0], np.zeros(3))
 
     def test_target_round_trip(self):
         rng = np.random.default_rng(9)
         y = rng.uniform(400, 500, 50)
-        record = fit_target_scaling(y)
+        record = NormalizationRecord(feature_min=None, feature_max=None,
+                                     target_min=float(y.min()), target_max=float(y.max()))
         np.testing.assert_allclose(record.invert_target(record.apply_target(y)),
                                    y, atol=1e-12 * 500)
         scaled = record.apply_target(y)
         assert scaled.min() == -1.0 and scaled.max() == 1.0
 
     def test_record_reuse_on_new_data(self):
-        train = np.array([[0.0], [10.0]])
-        _, record = normalize_features(train)
+        record = fit_feature_scaling(np.array([[0.0], [10.0]]))
         np.testing.assert_allclose(record.apply_features(np.array([[15.0]])),
                                    [[2.0]], atol=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            normalize_features(np.empty((0, 3)))
+            fit_feature_scaling(np.empty((0, 3)))
 
     def test_missing_target_scaling_rejected(self):
         record = NormalizationRecord(feature_min=np.zeros(1), feature_max=np.ones(1))

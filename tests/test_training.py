@@ -11,8 +11,7 @@ from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
 from sqnn.features import PolynomialWeightFunction, build_design_matrix, eval_angle
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
                            TrainingDiverged, arctanh_labels, gd_train,
-                           hinge_loss, lls_train, mse_loss, predict,
-                           predict_class)
+                           hinge_loss, lls_train, mse_loss)
 
 
 def replica_init(config: GdConfig, n_params: int) -> np.ndarray:
@@ -191,22 +190,6 @@ class TestGdTrain:
             taken = (w0 - w1) / config.learning_rate
             np.testing.assert_allclose(taken, fd, atol=1e-6)
 
-    def test_trainable_subset_freezes_coefficients(self):
-        rng = np.random.default_rng(7)
-        data = make_dataset(rng, n=10, p=2)
-        config = GdConfig(max_epochs=5, seed=3, init_scale=0.5,
-                          trainable=frozenset({"theta", "omega"}), normalize=False)
-        w0 = replica_init(config, 3 * 3 + 2)
-        model, _ = gd_train(data, config, model_shape="full")
-        np.testing.assert_array_equal(model.alpha.flat(), w0[:3])
-        np.testing.assert_array_equal(model.beta.flat(), w0[3:6])
-        np.testing.assert_array_equal(model.gamma.flat(), w0[6:9])
-        assert (model.theta, model.omega) != (w0[-2], w0[-1])
-
-    def test_unknown_trainable_entry(self):
-        with pytest.raises(ValueError, match="trainable"):
-            GdConfig(trainable=frozenset({"bias"}))
-
     def test_divergence_reports_epoch(self):
         data = Dataset(inputs=np.array([[1e308]]), targets=[0.5])
         config = GdConfig(K=2, normalize=False, max_epochs=10)
@@ -270,8 +253,8 @@ class TestPredictionPaths:
     def test_zero_model_predicts_zero_class_plus_one(self):
         model = TrainedModel(kind="lls", K=1, p=2,
                              beta=PolynomialWeightFunction(K=1, p=2))
-        assert predict(model, [0.3, -0.8]) == 0.0
-        assert predict_class(model, [0.3, -0.8]) == 1.0
+        assert model.predict([0.3, -0.8]) == 0.0
+        assert model.predict_class([0.3, -0.8]) == 1.0
 
     def test_dimension_mismatch_names_sizes(self):
         model = TrainedModel(kind="lls", K=1, p=2,
@@ -343,13 +326,19 @@ class TestLlsTrain:
         rng = np.random.default_rng(13)
         data = make_dataset(rng, n=25, p=2, classification=True)
         model = lls_train(data, LlsConfig(K=2))
-        from sqnn.features import eval_beta_classifier
         for x in rng.uniform(-1, 1, (20, 2)):
             scaled = model.normalization.apply_features(x)
             assert model.predict(x) == pytest.approx(
-                math.cos(eval_beta_classifier(model.beta, scaled)), abs=1e-12)
+                math.cos(math.acos(np.tanh(eval_angle(model.beta, scaled)))), abs=1e-12)
 
     def test_empty_dataset_rejected(self):
         bad = SimpleNamespace(inputs=np.empty((0, 1)), targets=np.empty(0), n=0, p=1)
         with pytest.raises(ValueError, match="empty"):
             lls_train(bad, LlsConfig())
+
+    def test_epsilon_that_leaves_one_unmoved_rejected(self):
+        # 1 - 1e-17 rounds to 1.0, so arctanh would return inf
+        with pytest.raises(ValueError, match="epsilon"):
+            LlsConfig(K=2, epsilon=1e-17)
+        model = lls_train(gen_two_moons(100), LlsConfig(K=2, epsilon=1e-16))
+        assert np.all(np.isfinite(model.beta.flat()))
