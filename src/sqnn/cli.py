@@ -215,15 +215,17 @@ def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets,
     click.echo(f"saved model to {model_path}")
 
 
-def _echo_metrics(rows, fmt):
+def _echo_metrics(columns, rows, fmt):
+    """Print (name, value, ...) rows as CSV under the `columns` header, or
+    as a table with aligned names and the values joined by ' +- '."""
     if fmt == "csv":
-        click.echo("metric,value")
-        for name, value in rows:
-            click.echo(f"{name},{value:.6f}")
+        click.echo(",".join(columns))
+        for name, *values in rows:
+            click.echo(",".join([name] + [f"{v:.6f}" for v in values]))
     else:
-        width = max(len(name) for name, _ in rows)
-        for name, value in rows:
-            click.echo(f"{name:<{width}}  {value:.6f}")
+        width = max(len(name) for name, *_ in rows)
+        for name, *values in rows:
+            click.echo(f"{name:<{width}}  " + " +- ".join(f"{v:.6f}" for v in values))
 
 
 @main.command("eval")
@@ -265,20 +267,18 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
                            err=True)
     except ValueError as exc:
         _fail(EXIT_FAILURE, str(exc))
-    _echo_metrics(rows, fmt)
+    _echo_metrics(("metric", "value"), rows, fmt)
     if boundary:
         if model.p != 2:
             raise click.UsageError("--boundary requires a 2-feature model")
         lo = data.inputs.min(axis=0)
         hi = data.inputs.max(axis=0)
-        xs = np.linspace(lo[0], hi[0], resolution)
-        ys = np.linspace(lo[1], hi[1], resolution)
-        grid_rows = []
-        for gy in ys:
-            points = np.column_stack([xs, np.full_like(xs, gy)])
-            preds = model.predict(points)
-            grid_rows += [(float(gx), float(gy), float(pv)) for gx, pv in zip(xs, preds)]
-        _write_rows(boundary, ["x1", "x2", "prediction"], grid_rows)
+        gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], resolution),
+                             np.linspace(lo[1], hi[1], resolution))
+        points = np.column_stack([gx.ravel(), gy.ravel()])  # x1 varies fastest
+        preds = model.predict(points)
+        _write_rows(boundary, ["x1", "x2", "prediction"],
+                    [(x1, x2, pv) for (x1, x2), pv in zip(points.tolist(), preds.tolist())])
         click.echo(f"wrote {boundary}")
 
 
@@ -309,16 +309,8 @@ def cmd_crossval(data_path, target_column, label_map, drop_cols, no_scale_target
                                    k=k_folds, seed=seed)
     except (training.TrainingDiverged, ValueError) as exc:
         _fail(EXIT_FAILURE, str(exc))
-    if fmt == "csv":
-        click.echo("metric,mean,std")
-        for name in sorted(summary):
-            s = summary[name]
-            click.echo(f"{name},{s.mean:.6f},{s.std:.6f}")
-    else:
-        width = max(len(name) for name in summary)
-        for name in sorted(summary):
-            s = summary[name]
-            click.echo(f"{name:<{width}}  {s.mean:.6f} +- {s.std:.6f}")
+    _echo_metrics(("metric", "mean", "std"),
+                  [(name, s.mean, s.std) for name, s in sorted(summary.items())], fmt)
 
 
 @main.command("recipes")
@@ -332,20 +324,25 @@ def cmd_recipes():
 @click.argument("recipe_name")
 @click.option("--data-dir", default=None, type=click.Path(),
               help="Data directory (default $" + experiments.DATA_DIR_ENV + " or ./data).")
-@click.option("--pair", nargs=2, type=int, default=None,
+@click.option("--pair", nargs=2, type=click.IntRange(0, 9), default=None,
               help="Restrict the MNIST recipe to one digit pair.")
-@click.option("--dct-keep", default=None, type=click.IntRange(min=1),
+@click.option("--dct-keep", default=None, type=click.IntRange(1, 28),
               help="Keep only the top-left BxB DCT block (MNIST recipe).")
 def cmd_reproduce(recipe_name, data_dir, pair, dct_keep):
     """Run a named experiment recipe and check its expected bounds."""
+    if pair and pair[0] == pair[1]:
+        raise click.UsageError("--pair needs two distinct digits")
+    try:
+        experiments.load_recipe(recipe_name)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    # what fails once the recipe runs is its data: absent or malformed
     try:
         result = experiments.run_recipe(recipe_name, data_dir=data_dir,
                                         pair=pair or None, dct_keep=dct_keep,
                                         log=click.echo)
-    except experiments.MissingData as exc:
+    except (experiments.MissingData, ValueError) as exc:
         _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     for line in result.report_lines():
         click.echo(line)
     if not result.assertions:

@@ -158,15 +158,19 @@ def load_recipe(name: str) -> dict:
     return recipe
 
 
-def _config(cls, trainer: dict):
-    """A recipe's trainer settings, minus `shape`, as a GdConfig or
-    LlsConfig; a key that names no setting raises ValueError."""
-    settings = {k: v for k, v in trainer.items() if k != "shape"}
+def _config(trainer: dict, **overrides):
+    """(config, shape) for a recipe's trainer settings plus `overrides`.
+    A `shape` key selects GdConfig with that model shape; without one the
+    config is an LlsConfig and the shape None. A key that names no
+    setting raises ValueError."""
+    settings = {**trainer, **overrides}
+    shape = settings.pop("shape", None)
+    cls = training.LlsConfig if shape is None else training.GdConfig
     unknown = sorted(set(settings) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"recipe trainer has unknown {cls.__name__} "
                          f"setting(s): {', '.join(unknown)}")
-    return cls(**settings)
+    return cls(**settings), shape
 
 
 def _check(values: dict[str, float], spec: dict) -> AssertionResult:
@@ -187,30 +191,35 @@ def _check(values: dict[str, float], spec: dict) -> AssertionResult:
                            detail=f"{key} = {value:.6g} (required {' and '.join(bounds)})")
 
 
-def _run_logic_gates(recipe: dict, result: RecipeResult, log) -> None:
-    trainer = recipe["trainer"]
-    config = _config(training.GdConfig, trainer)
-    for gate in recipe.get("gates", sorted(datasets.LOGIC_GATES)):
+def _score(model, test, result: RecipeResult, key: str) -> metrics.MetricReport:
+    """Classify the held-out set and store its metric suite under `key`."""
+    report = metrics.metric_suite(metrics.confusion(
+        model.predict_class(test.inputs), test.targets))
+    for name, value in report.as_dict().items():
+        result.values[f"{key}.{name}"] = value
+    return report
+
+
+# Every runner takes (recipe, result, log, data_dir) and fills
+# result.values; run_recipe checks the recipe's bounds afterwards.
+
+def _run_logic_gates(recipe: dict, result: RecipeResult, log, data_dir: Path) -> None:
+    config, shape = _config(recipe["trainer"])
+    for gate in recipe["gates"]:
         data = datasets.gen_logic_gate(gate)
-        model, history = training.gd_train(data, config,
-                                           model_shape=trainer.get("shape", "full"))
+        model, history = training.gd_train(data, config, model_shape=shape)
         result.values[f"{gate}.mse"] = history[-1]
         result.values[f"{gate}.epochs"] = float(len(history))
         log(f"  {gate}: mse={history[-1]:.2e} epochs={len(history)}")
 
 
-def _run_sinc(recipe: dict, result: RecipeResult, log) -> None:
-    trainer = recipe["trainer"]
-    config = _config(training.GdConfig, trainer)
-    gen = recipe.get("dataset", {})
+def _run_sinc(recipe: dict, result: RecipeResult, log, data_dir: Path) -> None:
+    config, shape = _config(recipe["trainer"])
     for variant in recipe["variants"]:
         name = variant["name"]
-        train, _val, test = datasets.gen_sinc(
-            n_train=gen.get("n_train", 800), n_val=gen.get("n_val", 100),
-            n_test=gen.get("n_test", 100), noise_sigma=variant.get("noise_sigma", 0.0),
-            seed=gen.get("seed", 0))
-        model, history = training.gd_train(train, config,
-                                           model_shape=trainer.get("shape", "full"))
+        train, _val, test = datasets.gen_sinc(**recipe["dataset"],
+                                              noise_sigma=variant["noise_sigma"])
+        model, history = training.gd_train(train, config, model_shape=shape)
         train_mse = history[-1]
         test_mse = training.mse_loss(model.predict(test.inputs), test.targets)
         result.values[f"{name}.train_mse"] = train_mse
@@ -219,138 +228,94 @@ def _run_sinc(recipe: dict, result: RecipeResult, log) -> None:
             f"epochs={len(history)}")
 
 
-def _load_recipe_csv(recipe: dict, data_dir: Path) -> datasets.Dataset:
-    loader = recipe["loader"]
-    paths = require_files(recipe["requires"], data_dir)
-    return datasets.load_csv(
-        paths[0],
-        target_column=loader.get("target_column", -1),
-        has_header=loader.get("has_header"),
-        label_map=loader.get("label_map"),
-        drop_cols=loader.get("drop_cols", ()),
-        drop_sparse_cols=loader.get("drop_sparse_cols"),
-        scale_targets=loader.get("scale_targets", "auto"),
-    )
-
-
-def _run_regression_crossval(recipe: dict, result: RecipeResult, log,
-                             data_dir: Path) -> None:
-    data = _load_recipe_csv(recipe, data_dir)
+def _run_crossval(recipe: dict, result: RecipeResult, log, data_dir: Path) -> None:
+    """K-sweep of k-fold cross-validation; the task is the experiment
+    name's prefix ("regression" or "classification")."""
+    task = recipe["experiment"].removesuffix("-crossval")
+    metric = "test_mse" if task == "regression" else "accuracy"
+    path = require_files(recipe["requires"], data_dir)[0]
+    data = datasets.load_csv(path, **recipe["loader"])
     log(f"  loaded {data.tag}: n={data.n} p={data.p} (dropped {data.dropped_rows} rows)")
-    trainer = recipe["trainer"]
     for K in recipe["K_values"]:
-        config = _config(training.GdConfig, {**trainer, "K": K})
-        summary = metrics.crossval(
-            data, trainer="gd", config=config,
-            model_shape=trainer.get("shape", "reduced"), task="regression",
-            k=recipe.get("k", 10), seed=recipe.get("cv_seed", 0))
+        config, shape = _config(recipe["trainer"], K=K)
+        fit = {"trainer": "lls"} if shape is None else {"trainer": "gd", "model_shape": shape}
+        summary = metrics.crossval(data, config=config, task=task, k=recipe["k"],
+                                   seed=recipe["cv_seed"], **fit)
         for name, s in summary.items():
             result.values[f"K{K}.{name}.mean"] = s.mean
             result.values[f"K{K}.{name}.std"] = s.std
-        log(f"  K={K}: test_mse={summary['test_mse'].mean:.4f}"
-            f" +- {summary['test_mse'].std:.4f}")
+        log(f"  K={K}: {metric}={summary[metric].mean:.4f}"
+            f" +- {summary[metric].std:.4f}")
 
 
-def _run_classification_crossval(recipe: dict, result: RecipeResult, log,
-                                 data_dir: Path) -> None:
-    data = _load_recipe_csv(recipe, data_dir)
-    log(f"  loaded {data.tag}: n={data.n} p={data.p}")
-    trainer = recipe["trainer"]
+def _run_moons(recipe: dict, result: RecipeResult, log, data_dir: Path) -> None:
+    gen = recipe["dataset"]
+    train = datasets.gen_two_moons(n=gen["n_train"], noise=gen["noise"], seed=gen["seed"])
+    test = datasets.gen_two_moons(n=gen["n_test"], noise=gen["noise"], seed=gen["test_seed"])
     for K in recipe["K_values"]:
-        config = _config(training.LlsConfig, {**trainer, "K": K})
-        summary = metrics.crossval(
-            data, trainer="lls", config=config, task="classification",
-            k=recipe.get("k", 10), seed=recipe.get("cv_seed", 0))
-        for name, s in summary.items():
-            result.values[f"K{K}.{name}.mean"] = s.mean
-            result.values[f"K{K}.{name}.std"] = s.std
-        log(f"  K={K}: accuracy={summary['accuracy'].mean:.4f}"
-            f" +- {summary['accuracy'].std:.4f}")
-
-
-def _run_moons(recipe: dict, result: RecipeResult, log) -> None:
-    gen = recipe.get("dataset", {})
-    train = datasets.gen_two_moons(n=gen.get("n_train", 1000),
-                                   noise=gen.get("noise", 0.07),
-                                   seed=gen.get("seed", 0))
-    test = datasets.gen_two_moons(n=gen.get("n_test", 100),
-                                  noise=gen.get("noise", 0.07),
-                                  seed=gen.get("test_seed", 1000))
-    for K in recipe["K_values"]:
-        config = _config(training.LlsConfig, {**recipe["trainer"], "K": K})
-        model = training.lls_train(train, config)
-        report = metrics.metric_suite(metrics.confusion(
-            model.predict_class(test.inputs), test.targets))
-        for name, value in report.as_dict().items():
-            result.values[f"K{K}.{name}"] = value
+        config, _ = _config(recipe["trainer"], K=K)
+        report = _score(training.lls_train(train, config), test, result, f"K{K}")
         log(f"  K={K}: accuracy={report.accuracy:.3f} f1={report.f1:.3f}")
 
 
-def _run_mnist_pairs(recipe: dict, result: RecipeResult, log,
-                     data_dir: Path, pair=None, dct_keep=None) -> None:
+def _run_mnist_pairs(recipe: dict, result: RecipeResult, log, data_dir: Path) -> None:
     paths = require_files("mnist", data_dir)
     train_images, train_labels = datasets.load_mnist_idx(paths[0], paths[1])
     test_images, test_labels = datasets.load_mnist_idx(paths[2], paths[3])
-    pairs = [tuple(pair)] if pair else [tuple(p) for p in recipe["pairs"]]
-    dct_block = dct_keep if dct_keep is not None else recipe.get("dct_block")
-    config = _config(training.LlsConfig, recipe["trainer"])
-    for a, b in pairs:
+    config, _ = _config(recipe["trainer"])
+    for a, b in recipe["pairs"]:
         start = time.monotonic()
-        train = datasets.filter_pair(train_images, train_labels, a, b, dct_block=dct_block)
-        test = datasets.filter_pair(test_images, test_labels, a, b, dct_block=dct_block)
-        model = training.lls_train(train, config)
-        report = metrics.metric_suite(metrics.confusion(
-            model.predict_class(test.inputs), test.targets))
-        took = time.monotonic() - start
+        train = datasets.filter_pair(train_images, train_labels, a, b,
+                                     dct_block=recipe["dct_block"])
+        test = datasets.filter_pair(test_images, test_labels, a, b,
+                                    dct_block=recipe["dct_block"])
         key = f"{a}v{b}"
-        for name, value in report.as_dict().items():
-            result.values[f"{key}.{name}"] = value
+        report = _score(training.lls_train(train, config), test, result, key)
+        took = time.monotonic() - start
         result.values[f"{key}.seconds"] = took
         log(f"  {key}: accuracy={report.accuracy:.4f} ({took:.1f}s, "
             f"n_train={train.n}, n_test={test.n})")
+
+
+_RUNNERS = {
+    "logic-gates": _run_logic_gates,
+    "sinc": _run_sinc,
+    "regression-crossval": _run_crossval,
+    "classification-crossval": _run_crossval,
+    "moons": _run_moons,
+    "mnist-pairs": _run_mnist_pairs,
+}
 
 
 def run_recipe(name: str, data_dir=None, pair=None, dct_keep=None,
                log=None) -> RecipeResult:
     """Run one named recipe and evaluate its bounds.
 
-    `pair` restricts the MNIST recipe to a single digit pair and
-    `dct_keep` overrides its low-frequency block selection. Raises
-    MissingData when a required file is absent.
+    `pair` and `dct_keep` override the recipe's `pairs` and `dct_block`:
+    the MNIST recipe then runs a single digit pair, or keeps another
+    low-frequency block, and only the bounds of that pair are checked.
+    Raises MissingData when a required file is absent.
     """
     recipe = load_recipe(name)
-    log = log or (lambda msg: None)
-    directory = resolve_data_dir(data_dir)
+    runner = _RUNNERS.get(recipe["experiment"])
+    if runner is None:
+        raise ValueError(f"recipe {name!r} has unknown experiment {recipe['experiment']!r}")
+    if pair is not None:
+        recipe = {**recipe, "pairs": [pair]}
+    if dct_keep is not None:
+        recipe = {**recipe, "dct_block": dct_keep}
     result = RecipeResult(name=name)
     start = time.monotonic()
-
-    experiment = recipe["experiment"]
-    if experiment == "logic-gates":
-        _run_logic_gates(recipe, result, log)
-    elif experiment == "sinc":
-        _run_sinc(recipe, result, log)
-    elif experiment == "regression-crossval":
-        _run_regression_crossval(recipe, result, log, directory)
-    elif experiment == "classification-crossval":
-        _run_classification_crossval(recipe, result, log, directory)
-    elif experiment == "moons":
-        _run_moons(recipe, result, log)
-    elif experiment == "mnist-pairs":
-        _run_mnist_pairs(recipe, result, log, directory, pair=pair,
-                         dct_keep=dct_keep)
-    else:
-        raise ValueError(f"recipe {name!r} has unknown experiment {experiment!r}")
-
+    runner(recipe, result, log or (lambda msg: None), resolve_data_dir(data_dir))
     result.elapsed = time.monotonic() - start
-    checked = recipe.get("assertions", [])
+
+    checked = recipe["assertions"]
     if pair is not None:
         prefix = f"{pair[0]}v{pair[1]}."
         checked = [a for a in checked if a["value"].startswith(prefix)]
     for spec in checked:
         if spec["value"] in result.values:
             result.assertions.append(_check(result.values, spec))
-        elif spec.get("optional"):
-            continue
         else:
             result.assertions.append(AssertionResult(
                 label=spec.get("label", spec["value"]), passed=False,

@@ -110,6 +110,13 @@ class GdConfig:
             raise ValueError(f"K must be positive, got {self.K}")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """The label nudge must move +-1 strictly inside (-1, 1): below about
+    1.1e-16, 1 - epsilon rounds to 1.0 and arctanh returns inf."""
+    if not 0 < epsilon < 1 or 1.0 - epsilon == 1.0:
+        raise ValueError(f"epsilon must be in (0, 1) with 1 - epsilon < 1, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class LlsConfig:
     """One-shot least-squares settings. `epsilon` nudges +-1 labels off
@@ -123,9 +130,7 @@ class LlsConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"K must be positive, got {self.K}")
-        if not 0 < self.epsilon < 1 or 1.0 - self.epsilon == 1.0:
-            raise ValueError(f"epsilon must be in (0, 1) with 1 - epsilon < 1, "
-                             f"got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if self.rcond is not None and self.rcond < 0:
             raise ValueError(f"rcond must be non-negative, got {self.rcond}")
 
@@ -291,7 +296,9 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
 
 
 def arctanh_labels(targets, epsilon: float = 1e-16) -> np.ndarray:
-    """arctanh of labels, with +-1 nudged inward by epsilon first."""
+    """arctanh of labels, with +-1 nudged inward by epsilon first;
+    epsilon follows LlsConfig's rule."""
+    _check_epsilon(epsilon)
     y = np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(y)) or np.any(np.abs(y) > 1.0):
         raise InvalidLabel("labels must lie in [-1, 1]")

@@ -1,10 +1,13 @@
 """CLI behavior: commands, output formats, exit codes."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sqnn import model_io
 from sqnn.cli import main
 
 
@@ -141,6 +144,8 @@ class TestTrainEval:
         lines = grid.read_text().strip().splitlines()
         assert lines[0] == "x1,x2,prediction"
         assert len(lines) == 101
+        table = np.loadtxt(grid, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 2], model_io.load(model).predict(table[:, :2]))
 
 
 class TestTaskMismatch:
@@ -193,6 +198,24 @@ class TestReproduce:
 
     def test_unknown_recipe_is_usage_error(self, runner):
         invoke(runner, "reproduce", "table99", expect=2)
+
+    @pytest.mark.parametrize("option", [("--pair", 3, 3), ("--pair", 0, 11),
+                                        ("--dct-keep", 29)])
+    def test_bad_pair_or_dct_keep_is_usage_error(self, runner, tmp_path, option):
+        # rejected before any data is read, like any other bad option
+        result = invoke(runner, "reproduce", "table6-mnist", *option,
+                        "--data-dir", tmp_path, expect=2)
+        assert "missing data" not in result.output
+
+    def test_malformed_data_file_is_io_error(self, runner, tmp_path):
+        rows = (Path(__file__).resolve().parent.parent / "data" / "wdbc.data"
+                ).read_text().splitlines()[:20]
+        rows.insert(3, "842302,M,1.0,2.0")
+        (tmp_path / "wdbc.data").write_text("\n".join(rows) + "\n")
+        result = invoke(runner, "reproduce", "table5-wbcd", "--data-dir", tmp_path,
+                        expect=3)
+        assert "error: " in result.output and "ragged row" in result.output
+        assert "Usage:" not in result.output
 
     def test_recipe_listing(self, runner):
         result = invoke(runner, "recipes")

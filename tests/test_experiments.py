@@ -85,6 +85,23 @@ def test_unknown_trainer_setting_rejected(monkeypatch):
         run_recipe("table4-moons")
 
 
+def test_unknown_experiment_rejected(monkeypatch):
+    recipe = json.loads(json.dumps(load_recipe("table4-moons")))
+    recipe["experiment"] = "parabola"
+    monkeypatch.setattr(experiments, "load_recipe", lambda name: recipe)
+    with pytest.raises(ValueError, match="parabola"):
+        run_recipe("table4-moons")
+
+
+def test_unknown_loader_key_rejected(monkeypatch, tmp_path):
+    write_synthetic_ccpp(tmp_path / "ccpp.csv", n=40)
+    recipe = json.loads(json.dumps(load_recipe("table2-ccpp")))
+    recipe["loader"]["delimter"] = ";"
+    monkeypatch.setattr(experiments, "load_recipe", lambda name: recipe)
+    with pytest.raises(TypeError, match="delimter"):
+        run_recipe("table2-ccpp", data_dir=tmp_path)
+
+
 def write_synthetic_ccpp(path, n=400, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, (n, 4))
@@ -157,6 +174,17 @@ def test_mnist_pair_filter_and_dct_keep(monkeypatch, tmp_path):
     # the --pair restriction drops assertions for unrun pairs
     assert [a.label for a in result.assertions] == ["pair bound"]
     assert result.passed
+
+
+def test_pair_and_dct_keep_leave_the_loaded_recipe_unchanged(monkeypatch, tmp_path):
+    write_synthetic_mnist(tmp_path)
+    recipe = json.loads(json.dumps(load_recipe("table6-mnist")))
+    recipe["assertions"] = [{"value": "0v1.accuracy", "min": 0.8}]
+    before = json.loads(json.dumps(recipe))
+    monkeypatch.setattr(experiments, "load_recipe", lambda name: recipe)
+    result = run_recipe("table6-mnist", data_dir=tmp_path, pair=(0, 1), dct_keep=8)
+    assert result.passed
+    assert recipe == before
 
 
 def test_report_lines_shape():

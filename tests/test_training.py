@@ -342,3 +342,10 @@ class TestLlsTrain:
             LlsConfig(K=2, epsilon=1e-17)
         model = lls_train(gen_two_moons(100), LlsConfig(K=2, epsilon=1e-16))
         assert np.all(np.isfinite(model.beta.flat()))
+
+    @pytest.mark.parametrize("epsilon", [1e-17, 0.0, 2.0])
+    def test_arctanh_labels_applies_the_config_epsilon_rule(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            arctanh_labels(np.array([1.0, -1.0]), epsilon=epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            LlsConfig(epsilon=epsilon)
