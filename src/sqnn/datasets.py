@@ -227,8 +227,9 @@ IDX_LABELS_MAGIC = 0x00000801
 def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Read an IDX image/label file pair.
 
-    Returns (images, labels) with images of shape (n, rows, cols) scaled
-    from byte values to [0, 1] and integer labels. Accepts gzipped files.
+    Returns (images, labels): the file's pixel bytes as a read-only uint8
+    array of shape (n, rows, cols), and the integer labels. filter_pair scales the
+    pixels of the rows it selects to [0, 1]. Accepts gzipped files.
     """
     with _open_maybe_gzip(images_path) as fh:
         head = fh.read(16)
@@ -243,7 +244,6 @@ def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"{images_path}: truncated pixel data "
                              f"({len(raw)} of {count * rows * cols} bytes)")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    images = images.astype(float) / 255.0
 
     with _open_maybe_gzip(labels_path) as fh:
         head = fh.read(8)
@@ -266,21 +266,25 @@ def filter_pair(images, labels, a: int, b: int, *,
                 dct_block: int | None = None) -> Dataset:
     """Binary dataset for one digit pair, with DCT feature rows.
 
+    `images` holds pixel bytes (uint8), as load_mnist_idx returns them.
     Keeps only images labeled `a` or `b`; the lower digit maps to +1 and
     the higher to -1. Features are the flattened orthonormal DCT
-    coefficients of each image (optionally only the top-left
-    `dct_block` x `dct_block` low-frequency block).
+    coefficients of each selected image scaled to [0, 1] (optionally
+    only the top-left `dct_block` x `dct_block` low-frequency block).
     """
     if a == b:
         raise ValueError("digit pair must be distinct")
     if not (0 <= a <= 9 and 0 <= b <= 9):
         raise ValueError(f"digits must be in 0..9, got {a} and {b}")
+    images = np.asarray(images)
+    if images.dtype != np.uint8:
+        raise ValueError(f"images must hold pixel bytes (uint8), got {images.dtype}")
     labels = np.asarray(labels)
     mask = (labels == a) | (labels == b)
     if not mask.any():
         raise ValueError(f"no samples labeled {a} or {b}")
     lo = min(a, b)
-    feats = dct_features(np.asarray(images)[mask], keep=dct_block)
+    feats = dct_features(images[mask] / 255.0, keep=dct_block)
     targets = np.where(labels[mask] == lo, 1.0, -1.0)
     return Dataset(inputs=feats, targets=targets, tag=f"mnist-{a}v{b}")
 

@@ -5,7 +5,9 @@ coordinates, c0 + sum_k sum_j c_kj * x_j^k, and feeds a rotation angle.
 The least-squares model's output tanh of the polynomial is cos of the
 angle arccos(tanh(.)). The same power expansion, laid out row-wise, is
 the design matrix used by the least-squares trainer.
-Image preprocessing uses the orthonormal type-II DCT.
+Image preprocessing uses the orthonormal type-II DCT, applied as the
+explicit basis matrix C: the coefficients of a square image X are
+C @ X @ C.T.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "PolynomialWeightFunction",
@@ -153,20 +154,33 @@ def fit_feature_scaling(inputs) -> NormalizationRecord:
     return NormalizationRecord(feature_min=X.min(axis=0), feature_max=X.max(axis=0))
 
 
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal type-II DCT basis: row k is sqrt(2/n) cos(pi (2i+1) k / 2n)
+    over i, with row 0 scaled by 1/sqrt(2), so C @ C.T is the identity."""
+    k = np.arange(n)[:, None]
+    c = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * np.arange(n) + 1) * k / (2 * n))
+    c[0] /= np.sqrt(2.0)
+    return c
+
+
+def _square(arr: np.ndarray, what: str) -> np.ndarray:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square {what}, got shape {arr.shape}")
+    return arr
+
+
 def dct2(image) -> np.ndarray:
-    """Orthonormal 2-D type-II DCT of a square image."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ValueError(f"expected a square image, got shape {img.shape}")
-    return _fft.dctn(img, type=2, norm="ortho")
+    """Orthonormal 2-D type-II DCT of a square image, C @ X @ C.T."""
+    img = _square(np.asarray(image, dtype=float), "image")
+    c = _dct_matrix(img.shape[0])
+    return c @ img @ c.T
 
 
 def idct2(coeffs) -> np.ndarray:
-    """Inverse of dct2."""
-    arr = np.asarray(coeffs, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square coefficient block, got shape {arr.shape}")
-    return _fft.idctn(arr, type=2, norm="ortho")
+    """Inverse of dct2, C.T @ Y @ C."""
+    arr = _square(np.asarray(coeffs, dtype=float), "coefficient block")
+    c = _dct_matrix(arr.shape[0])
+    return c.T @ arr @ c
 
 
 def dct_features(images, keep: int | None = None) -> np.ndarray:
@@ -174,14 +188,15 @@ def dct_features(images, keep: int | None = None) -> np.ndarray:
 
     `images` has shape (n, s, s). By default all s*s coefficients are kept
     and flattened row-major; `keep=B` retains only the top-left BxB
-    low-frequency block.
+    low-frequency block, computed from the first B basis rows alone.
     """
     imgs = np.asarray(images, dtype=float)
     if imgs.ndim != 3 or imgs.shape[1] != imgs.shape[2]:
         raise ValueError(f"expected (n, s, s) image stack, got shape {imgs.shape}")
-    coeffs = _fft.dctn(imgs, type=2, norm="ortho", axes=(1, 2))
-    if keep is not None:
-        if not 1 <= keep <= imgs.shape[1]:
-            raise ValueError(f"keep must be in [1, {imgs.shape[1]}], got {keep}")
-        coeffs = coeffs[:, :keep, :keep]
-    return coeffs.reshape(imgs.shape[0], -1)
+    side = imgs.shape[1]
+    if keep is None:
+        keep = side
+    elif not 1 <= keep <= side:
+        raise ValueError(f"keep must be in [1, {side}], got {keep}")
+    c = _dct_matrix(side)[:keep]
+    return (c @ imgs @ c.T).reshape(imgs.shape[0], -1)

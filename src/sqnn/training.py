@@ -166,6 +166,8 @@ class TrainedModel:
         dim = arr.size if arr.ndim == 1 else (arr.shape[1] if arr.ndim == 2 else None)
         if dim != self.p:
             raise ValueError(f"input has dimension {dim}, model expects {self.p}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("input holds non-finite values")
         if self.normalization is not None:
             arr = self.normalization.apply_features(arr)
         return arr
@@ -188,10 +190,11 @@ class TrainedModel:
         return float(cls) if np.isscalar(pred) or np.ndim(pred) == 0 else cls
 
 
-def _fit_scaling(data, normalize: bool):
-    """Scaled inputs plus the record a trained model must carry: fitted
-    feature ranges and, when the dataset's targets were rescaled at load
-    time, the original target range for recalibration."""
+def _design(data, K: int, normalize: bool):
+    """Design matrix of the (scaled) inputs plus the record a trained
+    model must carry: fitted feature ranges and, when the dataset's
+    targets were rescaled at load time, the original target range for
+    recalibration. The scaled inputs live only inside this call."""
     record = fit_feature_scaling(data.inputs) if normalize else None
     target_range = getattr(data, "target_range", None)
     if target_range is not None:
@@ -204,7 +207,7 @@ def _fit_scaling(data, normalize: bool):
                                          feature_max=record.feature_max,
                                          target_min=lo, target_max=hi)
     inputs = record.apply_features(data.inputs) if normalize else data.inputs
-    return inputs, record
+    return build_design_matrix(inputs, K), record
 
 
 def _reduced_value_and_grad(design, w):
@@ -264,9 +267,9 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
         raise ValueError("dataset is empty")
     n_params, value_and_grad, model_fields = _GD_SHAPES[model_shape]
     y = data.targets
-    u, record = _fit_scaling(data, config.normalize)
-    with np.errstate(over="ignore"):  # extreme powers overflow to inf and
-        design = build_design_matrix(u, config.K)  # trip the divergence guard
+    # extreme powers overflow to inf and trip the divergence guard
+    with np.errstate(over="ignore"):
+        design, record = _design(data, config.K, config.normalize)
     n_coef = design.shape[1]
     rng = np.random.default_rng(config.seed)
     w = rng.uniform(-config.init_scale, config.init_scale, n_params(n_coef))
@@ -315,8 +318,7 @@ def lls_train(data, config: LlsConfig = LlsConfig()) -> TrainedModel:
     """
     if data.n < 1:
         raise ValueError("dataset is empty")
-    u, record = _fit_scaling(data, config.normalize)
-    design = build_design_matrix(u, config.K)
+    design, record = _design(data, config.K, config.normalize)
     rhs = arctanh_labels(data.targets, config.epsilon)
     coeffs = linalg.lls_solve(design, rhs, rcond=config.rcond)
     return TrainedModel(

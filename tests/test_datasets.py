@@ -9,7 +9,7 @@ import pytest
 from sqnn.datasets import (Dataset, filter_pair, gen_logic_gate, gen_sinc,
                            gen_two_moons, kfold_plan, load_csv,
                            load_mnist_idx, split)
-from sqnn.features import dct2
+from sqnn.features import dct2, dct_features
 
 
 def write_idx_pair(tmp_path, images, labels, *, compress=False,
@@ -138,9 +138,8 @@ class TestLoadMnistIdx:
         img_path, lab_path = write_idx_pair(tmp_path, raw, labels)
         images, got_labels = load_mnist_idx(img_path, lab_path)
         assert images.shape == (3, 4, 4)
-        assert images[0, 0, 0] == 0.0
-        assert images[1, 0, 0] == 1.0
-        np.testing.assert_allclose(images, raw / 255.0, atol=1e-15)
+        assert images.dtype == np.uint8
+        np.testing.assert_array_equal(images, raw)
         np.testing.assert_array_equal(got_labels, labels)
 
     def test_gzipped(self, tmp_path):
@@ -171,10 +170,13 @@ class TestLoadMnistIdx:
             load_mnist_idx(img_path, lab_path)
 
 
+def byte_images(seed, shape):
+    return np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8)
+
+
 class TestFilterPair:
     def test_lower_digit_positive(self):
-        rng = np.random.default_rng(1)
-        images = rng.uniform(0, 1, (6, 4, 4))
+        images = byte_images(1, (6, 4, 4))
         labels = np.array([3, 5, 3, 9, 5, 3])
         ds = filter_pair(images, labels, 5, 3)
         assert ds.n == 5
@@ -182,24 +184,35 @@ class TestFilterPair:
         assert ds.p == 16
 
     def test_features_are_dct(self):
-        rng = np.random.default_rng(2)
-        images = rng.uniform(0, 1, (2, 8, 8))
+        images = byte_images(2, (2, 8, 8))
         ds = filter_pair(images, np.array([0, 1]), 0, 1)
-        np.testing.assert_allclose(ds.inputs[0], dct2(images[0]).ravel(), atol=1e-12)
+        np.testing.assert_allclose(ds.inputs[0], dct2(images[0] / 255.0).ravel(), atol=1e-12)
+
+    def test_scaling_the_selected_rows_matches_scaling_the_stack(self):
+        images = byte_images(4, (7, 6, 6))
+        labels = np.array([2, 8, 2, 4, 8, 8, 1])
+        mask = (labels == 2) | (labels == 8)
+        ds = filter_pair(images, labels, 2, 8, dct_block=3)
+        np.testing.assert_array_equal(ds.inputs, dct_features((images / 255.0)[mask], keep=3))
 
     def test_block_selection(self):
-        rng = np.random.default_rng(3)
-        images = rng.uniform(0, 1, (2, 8, 8))
+        images = byte_images(3, (2, 8, 8))
         ds = filter_pair(images, np.array([0, 1]), 0, 1, dct_block=4)
         assert ds.p == 16
 
+    def test_float_images_rejected(self):
+        # scaled pixels would be divided by 255 a second time
+        images = byte_images(5, (2, 4, 4)) / 255.0
+        with pytest.raises(ValueError, match="uint8"):
+            filter_pair(images, np.array([0, 1]), 0, 1)
+
     def test_same_digit_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            filter_pair(np.zeros((1, 2, 2)), np.array([1]), 1, 1)
+            filter_pair(np.zeros((1, 2, 2), dtype=np.uint8), np.array([1]), 1, 1)
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
-            filter_pair(np.zeros((2, 2, 2)), np.array([4, 4]), 0, 1)
+            filter_pair(np.zeros((2, 2, 2), dtype=np.uint8), np.array([4, 4]), 0, 1)
 
 
 class TestGenerators:

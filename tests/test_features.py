@@ -1,7 +1,13 @@
 """Feature maps: polynomial angles, design matrix, scaling, DCT."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sqnn.features import (NormalizationRecord, PolynomialWeightFunction,
                            build_design_matrix, dct2, dct_features,
@@ -20,17 +26,16 @@ def horner_eval(f, x):
 
 
 def brute_dct2(img):
-    """Direct O(N^4) orthonormal type-II DCT double sum."""
+    """Direct O(N^4) orthonormal type-II DCT: each coefficient is its own
+    double sum of pixel times cosine products, with no basis matrix."""
     n = img.shape[0]
     out = np.zeros((n, n))
+    i = np.arange(n)
     for u in range(n):
         for v in range(n):
-            total = 0.0
-            for i in range(n):
-                for j in range(n):
-                    total += (img[i, j]
-                              * np.cos(np.pi * (2 * i + 1) * u / (2 * n))
-                              * np.cos(np.pi * (2 * j + 1) * v / (2 * n)))
+            total = np.sum(img
+                           * np.cos(np.pi * (2 * i[:, None] + 1) * u / (2 * n))
+                           * np.cos(np.pi * (2 * i[None, :] + 1) * v / (2 * n)))
             au = np.sqrt(1.0 / n) if u == 0 else np.sqrt(2.0 / n)
             av = np.sqrt(1.0 / n) if v == 0 else np.sqrt(2.0 / n)
             out[u, v] = au * av * total
@@ -227,3 +232,32 @@ class TestDct:
     def test_bad_block(self):
         with pytest.raises(ValueError, match="keep"):
             dct_features(np.ones((1, 8, 8)), keep=9)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 32).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=st.floats(-1, 1))))
+    def test_matches_double_sum_and_inverts_at_every_size(self, img):
+        coeffs = dct2(img)
+        np.testing.assert_allclose(coeffs, brute_dct2(img), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(idct2(coeffs), img, rtol=0, atol=1e-10)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 32).flatmap(lambda n: st.tuples(
+        arrays(np.float64, st.tuples(st.integers(1, 4), st.just(n), st.just(n)),
+               elements=st.floats(-1, 1)),
+        st.integers(1, n))))
+    def test_feature_block_is_the_top_left_of_dct2(self, case):
+        stack, keep = case
+        feats = dct_features(stack, keep=keep)
+        assert feats.shape == (stack.shape[0], keep * keep)
+        for row, img in zip(feats, stack):
+            np.testing.assert_allclose(row, dct2(img)[:keep, :keep].ravel(),
+                                       rtol=0, atol=1e-12)
+
+
+def test_package_import_loads_no_scipy():
+    code = ("import sys, sqnn, sqnn.experiments, sqnn.model_io, sqnn.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

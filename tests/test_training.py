@@ -1,11 +1,13 @@
 """Losses, gradient-descent and least-squares trainers, prediction paths."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sqnn import linalg
 from sqnn.circuit import AngleSet, expectation_closed_form
 from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
 from sqnn.features import PolynomialWeightFunction, build_design_matrix, eval_angle
@@ -262,6 +264,22 @@ class TestPredictionPaths:
         with pytest.raises(ValueError, match="dimension 3.*expects 2"):
             model.predict([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("kind", ["lls", "gd-full", "gd-reduced"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, kind, bad):
+        data = gen_two_moons(60, seed=3)
+        if kind == "lls":
+            model = lls_train(data, LlsConfig(K=2))
+        else:
+            shape = kind.removeprefix("gd-")
+            model, _ = gd_train(data, GdConfig(max_epochs=2), model_shape=shape)
+        batch = np.array([[0.2, 0.1], [bad, 0.0]])
+        for x in (batch[1], batch):
+            with pytest.raises(ValueError, match="non-finite"):
+                model.predict(x)
+            with pytest.raises(ValueError, match="non-finite"):
+                model.predict_class(x)
+
 
 class TestLlsTrain:
     def test_label_clipping_before_arctanh(self):
@@ -342,6 +360,29 @@ class TestLlsTrain:
             LlsConfig(K=2, epsilon=1e-17)
         model = lls_train(gen_two_moons(100), LlsConfig(K=2, epsilon=1e-16))
         assert np.all(np.isfinite(model.beta.flat()))
+
+    def test_solve_holds_no_copy_of_the_scaled_inputs(self, monkeypatch):
+        # tracemalloc counts numpy's allocations: what is live when the
+        # SVD starts, beyond what the caller already held, is the design
+        # matrix and little else (the scaled inputs are already freed)
+        data = make_dataset(np.random.default_rng(20), n=20_000, p=40, classification=True)
+        svd, at_entry, designs = linalg.svd, [], []
+
+        def spy(a):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            designs.append(a)
+            return svd(a)
+
+        monkeypatch.setattr(linalg, "svd", spy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lls_train(data, LlsConfig(K=1))
+        finally:
+            tracemalloc.stop()
+        (design,) = designs
+        assert design.shape == (20_000, 41)
+        assert at_entry[0] - before <= 1.1 * design.nbytes
 
     @pytest.mark.parametrize("epsilon", [1e-17, 0.0, 2.0])
     def test_arctanh_labels_applies_the_config_epsilon_rule(self, epsilon):
