@@ -3,7 +3,6 @@ parameterized one-qubit circuits, polynomial angle functions, gradient
 descent with analytic derivatives, one-shot least-squares training, and
 an experiment reproduction harness."""
 
-from .circuit import AngleSet, expectation_closed_form, expectation_gradient
 from .datasets import (Dataset, FoldPlan, filter_pair, gen_logic_gate,
                        gen_sinc, gen_two_moons, kfold_plan, load_csv,
                        load_mnist_idx, split)
@@ -22,7 +21,6 @@ from .training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSet", "expectation_closed_form", "expectation_gradient",
     "PolynomialWeightFunction", "NormalizationRecord", "eval_angle",
     "build_design_matrix", "dct2", "idct2", "dct_features",
     "svd", "pinv", "lls_solve",

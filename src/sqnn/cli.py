@@ -51,6 +51,19 @@ def _load_dataset(path, target_column, label_map, no_scale_targets, drop_cols):
         _fail(EXIT_IO, str(exc))
 
 
+def _model_scale_targets(model, data):
+    """The file's targets on the scale the model was trained on. When the
+    model carries a target range, the file's raw targets are mapped
+    through it, not through the file's own min and max."""
+    record = model.normalization
+    if record is None or record.target_min is None:
+        return data.targets
+    raw = data.targets
+    if data.target_range is not None:
+        raw = features.NormalizationRecord(None, None, *data.target_range).invert_target(raw)
+    return record.apply_target(raw)
+
+
 def _write_rows(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -257,7 +270,8 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
                             f"but dataset has p={data.p}")
     try:
         if task == "regression":
-            rows = [("mse", training.mse_loss(model.predict(data.inputs), data.targets))]
+            rows = [("mse", training.mse_loss(model.predict(data.inputs),
+                                              _model_scale_targets(model, data)))]
         else:
             report = metrics.metric_suite(metrics.confusion(
                 model.predict_class(data.inputs), data.targets))

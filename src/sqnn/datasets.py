@@ -142,6 +142,9 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
         raise ValueError(f"{path}: no data rows")
 
     ncols = len(rows[0])
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"{path}: ragged row with {len(row)} cells, expected {ncols}")
 
     def resolve(col) -> int:
         if isinstance(col, str):
@@ -171,8 +174,6 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
 
     data, dropped_rows = [], 0
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"{path}: ragged row with {len(row)} cells, expected {ncols}")
         try:
             values = [_parse_cell(row[j], label_map if j == target_idx else None)
                       for j in keep]

@@ -3,7 +3,10 @@
 Two trainers are provided. Gradient descent minimizes a batch loss over
 the coefficients of polynomial angle functions (and, for the five-angle
 network, the scalar state and observable angles), using the analytic
-circuit derivatives chained with d(angle)/d(c_kj) = x_j^k. The one-shot
+circuit derivatives chained with d(angle)/d(c_kj) = x_j^k. The reduced
+network's derivative is -sin(beta); the five-angle network's value and
+partials come from one forward and reverse pass of the circuit's
+Bloch-vector chain per epoch. The one-shot
 least-squares trainer maps labels through arctanh and solves for the
 polynomial coefficients with a pseudoinverse, which is a global minimum
 of the squared error in the transformed space.
@@ -220,16 +223,17 @@ def _reduced_value_and_grad(design, w):
 
 def _full_value_and_grad(design, w):
     """Five-angle expectation; w holds the alpha, beta and gamma
-    coefficients followed by the scalar theta and omega."""
+    coefficients followed by the scalar theta and omega. One pass of the
+    circuit's Bloch-vector chain gives the value and all five partials."""
     n = design.shape[1]
-    angles = (design @ w[:n], design @ w[n:2 * n], design @ w[2 * n:3 * n], w[-2], w[-1])
+    value, (d_al, d_be, d_ga, d_th, d_om) = circuit.gradient_batch(
+        design @ w[:n], design @ w[n:2 * n], design @ w[2 * n:3 * n], w[-2], w[-1])
 
     def grad(res):
-        d_al, d_be, d_ga, d_th, d_om = circuit.gradient_batch(*angles)
         return np.concatenate([(res * d_al) @ design, (res * d_be) @ design,
                                (res * d_ga) @ design, [res @ d_th, res @ d_om]])
 
-    return circuit.expectation_batch(*angles), grad
+    return value, grad
 
 
 def _reduced_model(w, n, K, p) -> dict:

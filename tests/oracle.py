@@ -1,10 +1,12 @@
 """Explicit 2x2 matrix path of the single-qubit circuit: the reference
-the closed form in sqnn.circuit is checked against.
+the Bloch-vector chain in sqnn.circuit is checked against.
 
 Rotation gates, the three-rotation neuron Rz(gamma)Ry(beta)Rz(alpha), a
 projector-valued observable and the measured expectation value, built by
-matrix-vector products. Unlike the closed form it also models nonzero
-state and projector phases and arbitrary observable eigenvalues.
+matrix-vector products. Unlike the chain it also models nonzero state
+and projector phases and arbitrary observable eigenvalues. `AngleSet`
+and the scalar wrappers `expectation_closed_form` and
+`expectation_gradient` evaluate sqnn.circuit's kernels on one angle set.
 """
 
 from __future__ import annotations
@@ -14,7 +16,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sqnn.circuit import AngleSet, _require_finite
+from sqnn.circuit import expectation_batch, gradient_batch
+
+
+def _require_finite(**angles: float) -> None:
+    for name, value in angles.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+@dataclass(frozen=True)
+class AngleSet:
+    """The five circuit angles for one evaluation: three neuron rotations,
+    the input-state polar angle and the observable projector angle."""
+
+    alpha: float = 0.0
+    beta: float = 0.0
+    gamma: float = 0.0
+    theta: float = 0.0
+    omega: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(alpha=self.alpha, beta=self.beta, gamma=self.gamma,
+                        theta=self.theta, omega=self.omega)
+
+
+def expectation_closed_form(angles: AngleSet) -> float:
+    """sqnn.circuit's expectation of one angle set (phases zero).
+
+    Reduces to cos(b)cos(t) - cos(a)sin(b)sin(t) at omega = 0 and to
+    cos(b) when theta = omega = 0.
+    """
+    return float(expectation_batch(angles.alpha, angles.beta, angles.gamma,
+                                   angles.theta, angles.omega))
+
+
+def expectation_gradient(angles: AngleSet) -> np.ndarray:
+    """sqnn.circuit's gradient for one angle set, as the 5-vector
+    (d/d alpha, d/d beta, d/d gamma, d/d theta, d/d omega)."""
+    _, parts = gradient_batch(angles.alpha, angles.beta, angles.gamma,
+                              angles.theta, angles.omega)
+    return np.array([float(p) for p in parts])
 
 
 @dataclass(frozen=True)
@@ -122,7 +164,7 @@ def expectation_matrix(angles: AngleSet,
 
     When `state` or `obs` is omitted it is built from the angle set with
     zero phase. Passing them explicitly allows nonzero state/projector
-    phases, which the closed-form path deliberately does not model.
+    phases, which sqnn.circuit deliberately does not model.
     """
     if state is None:
         state = QubitState(theta=angles.theta)

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from sqnn import experiments
-from sqnn.circuit import AngleSet, expectation_closed_form, expectation_gradient
 from sqnn.datasets import gen_sinc
 from sqnn.linalg import lls_solve, pinv
 from sqnn.training import GdConfig, gd_train, mse_loss
 
 from conftest import require_dataset
-from oracle import (Observable, QubitState, effective_neuron, expectation_matrix,
+from oracle import (AngleSet, Observable, QubitState, effective_neuron,
+                    expectation_closed_form, expectation_gradient, expectation_matrix,
                     neuron_matrix, rotation_gate)
 
 ANGLE_FIELDS = ("alpha", "beta", "gamma", "theta", "omega")

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
-from sqnn.circuit import (AngleSet, expectation_batch, expectation_closed_form,
-                          expectation_gradient, gradient_batch)
+from sqnn.circuit import expectation_batch, gradient_batch
 
-from oracle import (Observable, QubitState, effective_neuron, expectation_matrix,
+from oracle import (AngleSet, Observable, QubitState, effective_neuron,
+                    expectation_closed_form, expectation_gradient, expectation_matrix,
                     neuron_matrix, rotation_gate)
 
 I2 = np.eye(2, dtype=complex)
@@ -270,10 +271,57 @@ class TestReducedIdentity:
     @given(BETAS)
     def test_scalar(self, beta):
         assert expectation_batch(0, beta, 0, 0, 0) == np.cos(beta)
-        assert gradient_batch(0, beta, 0, 0, 0)[1] == -np.sin(beta)
+        assert gradient_batch(0, beta, 0, 0, 0)[1][1] == -np.sin(beta)
 
     @given(st.lists(BETAS, min_size=1, max_size=64))
     def test_array(self, betas):
         beta = np.array(betas)
         assert np.array_equal(expectation_batch(0.0, beta, 0.0, 0.0, 0.0), np.cos(beta))
-        assert np.array_equal(gradient_batch(0.0, beta, 0.0, 0.0, 0.0)[1], -np.sin(beta))
+        assert np.array_equal(gradient_batch(0.0, beta, 0.0, 0.0, 0.0)[1][1], -np.sin(beta))
+
+
+ANGLES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+def oracle_value_and_partials(angles):
+    """Matrix-path value and central differences of the matrix path in each
+    of the five angles. The step is taken as the difference of the two
+    rounded arguments, so it stays exact at |angle| near 1e3."""
+    value = expectation_matrix(AngleSet(*angles))
+    partials = []
+    for i in range(5):
+        hi, lo = list(angles), list(angles)
+        hi[i] += 1e-6
+        lo[i] -= 1e-6
+        partials.append((expectation_matrix(AngleSet(*hi))
+                         - expectation_matrix(AngleSet(*lo))) / (hi[i] - lo[i]))
+    return value, partials
+
+
+def assert_kernels_match_oracle(args):
+    value, partials = gradient_batch(*args)
+    assert np.array_equal(expectation_batch(*args), value)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    assert np.shape(value) == shape
+    assert all(np.shape(d) == shape for d in partials)
+    for index in np.ndindex(shape):
+        angles = [float(np.broadcast_to(a, shape)[index]) for a in args]
+        want_value, want_partials = oracle_value_and_partials(angles)
+        assert abs(value[index] - want_value) <= 1e-12
+        for d, want in zip(partials, want_partials):
+            assert abs(d[index] - want) <= 1e-7
+
+
+class TestKernelsAgainstOracle:
+    """Value and all five partials, elementwise, against the matrix path
+    and its central differences over the whole angle domain."""
+
+    @given(st.tuples(ANGLES, ANGLES, ANGLES, ANGLES, ANGLES))
+    def test_scalar(self, angles):
+        assert_kernels_match_oracle(angles)
+
+    @given(mutually_broadcastable_shapes(num_shapes=5, max_dims=2, max_side=3)
+           .flatmap(lambda shapes: st.tuples(*(arrays(float, s, elements=ANGLES)
+                                               for s in shapes.input_shapes))))
+    def test_broadcast(self, args):
+        assert_kernels_match_oracle(args)

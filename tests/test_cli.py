@@ -108,6 +108,26 @@ class TestTrainEval:
         assert lines[1].startswith("mse,")
         assert len(lines) == 2
 
+    def test_regression_eval_scores_on_the_training_target_range(self, runner, tmp_path):
+        # Targets outside [-1, 1] are rescaled at load time. A test file
+        # that covers part of the training range must be scored on the
+        # model's target range, not on the file's own min and max.
+        x = np.linspace(-1, 1, 41)
+        train, test, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "m.json"
+        for path, xs in ((train, x), (test, x[(x >= 0) & (x <= 0.5)])):
+            path.write_text("x,y\n" + "".join(f"{v:.17g},{460 + 40 * v:.17g}\n" for v in xs))
+        invoke(runner, "train", "--data", train, "--method", "gd-reduced",
+               "--lr", 0.2, "--max-epochs", 500, "--out", model)
+        result = invoke(runner, "eval", "--model", model, "--data", test,
+                        "--task", "regression", "--format", "csv")
+        mse = float(result.output.split("mse,")[1])
+        fitted = model_io.load(model)
+        raw = np.loadtxt(test, delimiter=",", skiprows=1)
+        want = np.mean((fitted.predict(raw[:, :1])
+                        - fitted.normalization.apply_target(raw[:, 1])) ** 2)
+        assert want < 0.01
+        assert mse == pytest.approx(want, abs=1e-6)
+
     def test_dimension_mismatch_names_both_sizes(self, runner, tmp_path):
         moons = tmp_path / "moons.csv"
         gate = tmp_path / "xor.csv"
@@ -216,6 +236,14 @@ class TestReproduce:
                         expect=3)
         assert "error: " in result.output and "ragged row" in result.output
         assert "Usage:" not in result.output
+
+    def test_ragged_row_with_sparse_column_scan_is_io_error(self, runner, tmp_path):
+        # table3-crime drops sparse columns, which scans every row's cells
+        (tmp_path / "communities.data").write_text(
+            "1,2,3,4,5,0.1,0.2,0.5\n1,2,3,4,5,0.1,0.2,0.5,?\n")
+        result = invoke(runner, "reproduce", "table3-crime", "--data-dir", tmp_path,
+                        expect=3)
+        assert "error: " in result.output and "ragged row" in result.output
 
     def test_recipe_listing(self, runner):
         result = invoke(runner, "recipes")

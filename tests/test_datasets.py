@@ -115,6 +115,14 @@ class TestLoadCsv:
         assert ds.n == 10
         assert ds.dropped_rows == 0
 
+    @pytest.mark.parametrize("drop_sparse_cols", [None, 0.5])
+    def test_ragged_row_rejected(self, tmp_path, drop_sparse_cols):
+        # the sparse-column scan must not index past the first row's width
+        path = tmp_path / "t.csv"
+        path.write_text("1,2,3\n4,5,6,?\n")
+        with pytest.raises(ValueError, match="ragged row with 4 cells, expected 3"):
+            load_csv(path, drop_sparse_cols=drop_sparse_cols)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")

@@ -1,7 +1,9 @@
 """Feature maps: polynomial angles, design matrix, scaling, DCT."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sqnn
 from sqnn.features import (NormalizationRecord, PolynomialWeightFunction,
                            build_design_matrix, dct2, dct_features,
                            eval_angle, fit_feature_scaling, idct2)
@@ -258,6 +261,10 @@ class TestDct:
 def test_package_import_loads_no_scipy():
     code = ("import sys, sqnn, sqnn.experiments, sqnn.model_io, sqnn.cli; "
             "print('scipy' in sys.modules)")
+    # the child imports the sqnn this process imported, from a checkout
+    # (pytest's `pythonpath`) or from an install
+    path = [str(Path(sqnn.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
+                         check=True, env=env)
     assert out.stdout.strip() == "False"

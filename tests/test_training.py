@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from sqnn import linalg
-from sqnn.circuit import AngleSet, expectation_closed_form
 from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
 from sqnn.features import PolynomialWeightFunction, build_design_matrix, eval_angle
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
                            TrainingDiverged, arctanh_labels, gd_train,
                            hinge_loss, lls_train, mse_loss)
+
+from oracle import AngleSet, expectation_closed_form
 
 
 def replica_init(config: GdConfig, n_params: int) -> np.ndarray:
