@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .features import dct_features
+from .features import NormalizationRecord, dct_features
 
 __all__ = [
     "Dataset",
@@ -89,7 +89,10 @@ class Dataset:
         return self.inputs.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        """Rows picked by integer indices or by a boolean mask."""
+        idx = np.asarray(indices)
+        if idx.dtype != bool:
+            idx = idx.astype(int)  # an empty list arrives as float
         return replace(self, inputs=self.inputs[idx], targets=self.targets[idx],
                        dropped_rows=0)
 
@@ -201,9 +204,8 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     need_scale = scale_targets is True or (
         scale_targets == "auto" and (y.min() < -1.0 or y.max() > 1.0))
     if need_scale:
-        lo, hi = float(y.min()), float(y.max())
-        y = np.zeros_like(y) if hi == lo else 2.0 * (y - lo) / (hi - lo) - 1.0
-        target_range = (lo, hi)
+        target_range = (float(y.min()), float(y.max()))
+        y = NormalizationRecord(None, None, *target_range).apply_target(y)
 
     return Dataset(inputs=X, targets=y, feature_names=names,
                    tag=tag or str(path), target_range=target_range,
@@ -393,18 +395,9 @@ def kfold_plan(n: int, k: int = 10, stratified: bool = False,
     y = np.asarray(labels)
     if y.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {y.shape}")
-    pos = rng.permutation(np.where(y > 0)[0])
-    neg = rng.permutation(np.where(y <= 0)[0])
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    for arr, reverse in ((pos, False), (neg, True)):
-        base, extra = divmod(arr.size, k)
-        order = range(k - 1, -1, -1) if reverse else range(k)
-        start = 0
-        for rank, fold_idx in enumerate(order):
-            size = base + (1 if rank < extra else 0)
-            buckets[fold_idx].extend(arr[start:start + size].tolist())
-            start += size
-    folds = tuple(np.sort(np.array(b, dtype=int)) for b in buckets)
+    pos = np.array_split(rng.permutation(np.where(y > 0)[0]), k)
+    neg = np.array_split(rng.permutation(np.where(y <= 0)[0]), k)
+    folds = tuple(np.sort(np.concatenate([pos[i], neg[k - 1 - i]])) for i in range(k))
     return FoldPlan(k=k, folds=folds, seed=seed, stratified=True)
 
 

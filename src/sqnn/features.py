@@ -108,6 +108,15 @@ def build_design_matrix(inputs, K: int) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def _to_unit(v, lo, hi):
+    """Min-max map 2 (v - lo) / (hi - lo) - 1 onto [-1, 1]; where the
+    range has zero (or negative) width, the value maps to 0."""
+    span = hi - lo
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scaled = 2.0 * (v - lo) / span - 1.0
+    return np.where(span > 0, scaled, 0.0)
+
+
 @dataclass(frozen=True)
 class NormalizationRecord:
     """Per-feature min/max for input rescaling to [-1, 1], plus optional
@@ -125,26 +134,20 @@ class NormalizationRecord:
         if self.feature_min is None:
             return np.asarray(inputs, dtype=float)
         rows, single = _as_rows(inputs, self.feature_min.size)
-        lo, hi = self.feature_min, self.feature_max
-        span = hi - lo
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scaled = 2.0 * (rows - lo) / span - 1.0
-        scaled = np.where(span > 0, scaled, 0.0)  # constant feature -> 0
+        scaled = _to_unit(rows, self.feature_min, self.feature_max)
         return scaled[0] if single else scaled
 
-    def apply_target(self, y):
+    def _target_range(self) -> tuple[float, float]:
         if self.target_min is None or self.target_max is None:
             raise ValueError("record carries no target scaling")
-        span = self.target_max - self.target_min
-        if span == 0:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return 2.0 * (np.asarray(y, dtype=float) - self.target_min) / span - 1.0
+        return self.target_min, self.target_max
+
+    def apply_target(self, y):
+        return _to_unit(np.asarray(y, dtype=float), *self._target_range())
 
     def invert_target(self, y):
-        if self.target_min is None or self.target_max is None:
-            raise ValueError("record carries no target scaling")
-        span = self.target_max - self.target_min
-        return (np.asarray(y, dtype=float) + 1.0) * span / 2.0 + self.target_min
+        lo, hi = self._target_range()
+        return (np.asarray(y, dtype=float) + 1.0) * (hi - lo) / 2.0 + lo
 
 
 def fit_feature_scaling(inputs) -> NormalizationRecord:

@@ -2,8 +2,9 @@
 
 Models are stored as a JSON key/value tree. Every floating-point
 coefficient is encoded as a C99 hex-float string (float.hex), so a
-reloaded model reproduces predictions bit for bit. Files are written to
-a temporary sibling and renamed into place.
+reloaded model reproduces predictions bit for bit. A file holding a
+non-finite number ("nan", "inf") is rejected. Files are written to a
+temporary sibling and renamed into place.
 
 Format version 1 fields:
     format_version   int, always 1
@@ -14,8 +15,9 @@ Format version 1 fields:
     alpha, gamma     same layout for the two Rz-angle polynomials
                      (null unless kind is "gd-full")
     theta, omega     hex-float scalars (state / observable angles)
-    normalization    {feature_min, feature_max: hex lists;
-                      target_min, target_max: hex or null} or null
+    normalization    {feature_min, feature_max: hex lists, both or
+                      neither null; target_min, target_max: hex or
+                      null} or null
     config           trainer settings snapshot (plain JSON)
     created          ISO-8601 UTC timestamp
 """
@@ -45,35 +47,52 @@ class ModelFormatError(ValueError):
     """The file is structurally invalid; the message names the field."""
 
 
-def _hex_list(values) -> list[str]:
-    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
+# Keys of the "normalization" object, in file order.
+_NORM_FIELDS = ("feature_min", "feature_max", "target_min", "target_max")
 
 
-def _opt_hex(value):
-    return None if value is None else float(value).hex()
+def _encode(value):
+    """float.hex of a scalar, a list of them for an array; None stays None."""
+    if value is None:
+        return None
+    arr = np.asarray(value, dtype=float)
+    return float(arr).hex() if arr.ndim == 0 else [float(v).hex() for v in arr.ravel()]
+
+
+def _decode(doc: dict, name: str, size: int | None = None):
+    """Inverse of _encode for `doc[name]`: one finite float when `size`
+    is None, else an array of exactly `size` finite floats."""
+    raw = doc.get(name)
+    if size is not None and not isinstance(raw, list):
+        raise ModelFormatError(f"field {name!r} must be a list of hex floats")
+    try:
+        values = np.array([float.fromhex(v) for v in ([raw] if size is None else raw)],
+                          dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"field {name!r}: bad hex float ({exc})") from exc
+    if not np.all(np.isfinite(values)):
+        raise ModelFormatError(f"field {name!r} holds a non-finite value")
+    if size is None:
+        return float(values[0])
+    if values.size != size:
+        raise ModelFormatError(f"field {name!r} has {values.size} entries, expected {size}")
+    return values
 
 
 def save(model: TrainedModel, path) -> None:
     """Write the model atomically as versioned JSON."""
-    norm = None
-    if model.normalization is not None:
-        rec = model.normalization
-        norm = {
-            "feature_min": None if rec.feature_min is None else _hex_list(rec.feature_min),
-            "feature_max": None if rec.feature_max is None else _hex_list(rec.feature_max),
-            "target_min": _opt_hex(rec.target_min),
-            "target_max": _opt_hex(rec.target_max),
-        }
+    rec = model.normalization
+    norm = None if rec is None else {name: _encode(getattr(rec, name)) for name in _NORM_FIELDS}
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "K": model.K,
         "p": model.p,
-        "coefficients": _hex_list(model.beta.flat()),
-        "alpha": None if model.alpha is None else _hex_list(model.alpha.flat()),
-        "gamma": None if model.gamma is None else _hex_list(model.gamma.flat()),
-        "theta": float(model.theta).hex(),
-        "omega": float(model.omega).hex(),
+        "coefficients": _encode(model.beta.flat()),
+        "alpha": None if model.alpha is None else _encode(model.alpha.flat()),
+        "gamma": None if model.gamma is None else _encode(model.gamma.flat()),
+        "theta": _encode(model.theta),
+        "omega": _encode(model.omega),
         "normalization": norm,
         "config": model.config,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -90,36 +109,6 @@ def save(model: TrainedModel, path) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _parse_floats(doc, name, expected: int | None = None) -> np.ndarray:
-    raw = doc.get(name)
-    if not isinstance(raw, list):
-        raise ModelFormatError(f"field {name!r} must be a list of hex floats")
-    try:
-        values = np.array([float.fromhex(v) for v in raw], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"field {name!r}: bad hex float ({exc})") from exc
-    if expected is not None and values.size != expected:
-        raise ModelFormatError(f"field {name!r} has {values.size} entries, expected {expected}")
-    return values
-
-
-def _parse_scalar(doc, name) -> float:
-    raw = doc.get(name)
-    try:
-        return float.fromhex(raw)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"field {name!r}: bad hex float ({exc})") from exc
-
-
-def _parse_opt_scalar(value, name) -> float | None:
-    if value is None:
-        return None
-    try:
-        return float.fromhex(value)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"field {name!r}: bad hex float ({exc})") from exc
 
 
 def load(path) -> TrainedModel:
@@ -148,34 +137,28 @@ def load(path) -> TrainedModel:
         raise ModelFormatError(f"field 'K'/'p' must be positive, got K={K}, p={p}")
 
     n_coef = 1 + K * p
-    beta = PolynomialWeightFunction.from_flat(_parse_floats(doc, "coefficients", n_coef), K, p)
+    beta = PolynomialWeightFunction.from_flat(_decode(doc, "coefficients", n_coef), K, p)
     alpha = gamma = None
     if kind == "gd-full":
-        alpha = PolynomialWeightFunction.from_flat(_parse_floats(doc, "alpha", n_coef), K, p)
-        gamma = PolynomialWeightFunction.from_flat(_parse_floats(doc, "gamma", n_coef), K, p)
+        alpha = PolynomialWeightFunction.from_flat(_decode(doc, "alpha", n_coef), K, p)
+        gamma = PolynomialWeightFunction.from_flat(_decode(doc, "gamma", n_coef), K, p)
 
     norm = None
     raw_norm = doc.get("normalization")
     if raw_norm is not None:
         if not isinstance(raw_norm, dict):
             raise ModelFormatError("field 'normalization' must be an object or null")
-        if raw_norm.get("feature_min") is None:
-            lo = hi = None
-            if raw_norm.get("feature_max") is not None:
-                raise ModelFormatError("field 'feature_max' present without 'feature_min'")
-        else:
-            lo = _parse_floats(raw_norm, "feature_min", p)
-            hi = _parse_floats(raw_norm, "feature_max", p)
-        norm = NormalizationRecord(
-            feature_min=lo, feature_max=hi,
-            target_min=_parse_opt_scalar(raw_norm.get("target_min"), "target_min"),
-            target_max=_parse_opt_scalar(raw_norm.get("target_max"), "target_max"),
-        )
+        fields = {name: None if raw_norm.get(name) is None else
+                  _decode(raw_norm, name, p if name.startswith("feature") else None)
+                  for name in _NORM_FIELDS}
+        if (fields["feature_min"] is None) != (fields["feature_max"] is None):
+            raise ModelFormatError("fields 'feature_min' and 'feature_max' must both be "
+                                   "present or both be null")
+        norm = NormalizationRecord(**fields)
 
     config = doc.get("config") or {}
     if not isinstance(config, dict):
         raise ModelFormatError("field 'config' must be an object")
     return TrainedModel(kind=kind, K=K, p=p, beta=beta, alpha=alpha, gamma=gamma,
-                        theta=_parse_scalar(doc, "theta"),
-                        omega=_parse_scalar(doc, "omega"),
+                        theta=_decode(doc, "theta"), omega=_decode(doc, "omega"),
                         normalization=norm, config=config)

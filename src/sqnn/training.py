@@ -197,20 +197,14 @@ def _design(data, K: int, normalize: bool):
     """Design matrix of the (scaled) inputs plus the record a trained
     model must carry: fitted feature ranges and, when the dataset's
     targets were rescaled at load time, the original target range for
-    recalibration. The scaled inputs live only inside this call."""
-    record = fit_feature_scaling(data.inputs) if normalize else None
+    recalibration (None when it has neither). The scaled inputs live
+    only inside this call."""
+    fitted = fit_feature_scaling(data.inputs) if normalize else NormalizationRecord(None, None)
     target_range = getattr(data, "target_range", None)
-    if target_range is not None:
-        lo, hi = target_range
-        if record is None:
-            record = NormalizationRecord(feature_min=None, feature_max=None,
-                                         target_min=lo, target_max=hi)
-        else:
-            record = NormalizationRecord(feature_min=record.feature_min,
-                                         feature_max=record.feature_max,
-                                         target_min=lo, target_max=hi)
-    inputs = record.apply_features(data.inputs) if normalize else data.inputs
-    return build_design_matrix(inputs, K), record
+    record = NormalizationRecord(fitted.feature_min, fitted.feature_max,
+                                 *(target_range or (None, None)))
+    design = build_design_matrix(record.apply_features(data.inputs), K)
+    return design, record if normalize or target_range is not None else None
 
 
 def _reduced_value_and_grad(design, w):

@@ -282,3 +282,14 @@ class TestModelFileErrors:
         model.write_text(json.dumps(doc))
         result = invoke(runner, "eval", "--model", model, "--data", data, expect=3)
         assert "999" in result.output
+
+    def test_non_finite_coefficient_is_io_error(self, runner, tmp_path):
+        data = tmp_path / "moons.csv"
+        model = tmp_path / "m.json"
+        invoke(runner, "gen", "two-moons", "--n", 40, "--out", data)
+        invoke(runner, "train", "--data", data, "--method", "lls", "--out", model)
+        doc = json.loads(model.read_text())
+        doc["coefficients"][0] = "nan"
+        model.write_text(json.dumps(doc))
+        result = invoke(runner, "eval", "--model", model, "--data", data, expect=3)
+        assert "bad model file" in result.output and "coefficients" in result.output

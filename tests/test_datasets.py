@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqnn.datasets import (Dataset, filter_pair, gen_logic_gate, gen_sinc,
                            gen_two_moons, kfold_plan, load_csv,
@@ -47,6 +49,15 @@ class TestDataset:
         sub = ds.subset([2, 0])
         assert sub.n == 2 and sub.tag == "demo" and sub.target_range == (0.0, 10.0)
         np.testing.assert_array_equal(sub.inputs[0], [4.0, 5.0])
+
+    def test_subset_boolean_mask_selects_rows(self):
+        ds = Dataset(inputs=np.arange(6.0).reshape(3, 2), targets=np.array([0.1, 0.2, 0.3]))
+        sub = ds.subset([True, False, True])
+        np.testing.assert_array_equal(sub.targets, [0.1, 0.3])
+        np.testing.assert_array_equal(ds.subset(np.array([2, 0])).targets, [0.3, 0.1])
+        for empty in ([], [False, False, False]):
+            with pytest.raises(ValueError, match="non-empty"):
+                ds.subset(empty)
 
 
 class TestLoadCsv:
@@ -346,6 +357,24 @@ class TestFolds:
         np.testing.assert_array_equal(union, np.arange(53))
         sizes = [f.size for f in plan.folds]
         assert max(sizes) - min(sizes) <= 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 120), seed=st.integers(0, 2**16),
+           stratified=st.booleans())
+    def test_fold_properties(self, data, n, seed, stratified):
+        k = data.draw(st.integers(2, min(n, 13)), label="k")
+        labels = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]),
+                                             min_size=n, max_size=n), label="labels"))
+        plan = kfold_plan(n, k=k, stratified=stratified, seed=seed,
+                          labels=labels if stratified else None)
+        rows = np.concatenate(plan.folds)
+        np.testing.assert_array_equal(np.sort(rows), np.arange(n))  # disjoint and covering
+        sizes = [f.size for f in plan.folds]
+        assert max(sizes) - min(sizes) <= 1
+        if stratified:
+            for cls in (1.0, -1.0):
+                counts = [int(np.sum(labels[f] == cls)) for f in plan.folds]
+                assert max(counts) - min(counts) <= 1
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sqnn
+from sqnn.datasets import load_csv
 from sqnn.features import (NormalizationRecord, PolynomialWeightFunction,
                            build_design_matrix, dct2, dct_features,
                            eval_angle, fit_feature_scaling, idct2)
@@ -154,10 +155,18 @@ class TestNormalization:
         assert record.feature_min[0] == 0.0
         assert record.feature_max[0] == 10.0
 
-    def test_constant_column_maps_to_zero(self):
+    def test_constant_column_maps_to_zero(self, tmp_path):
         inputs = np.array([[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]])
         scaled = fit_feature_scaling(inputs).apply_features(inputs)
         np.testing.assert_array_equal(scaled[:, 0], np.zeros(3))
+        # the same zero-width rule for targets, at load time and on a record
+        path = tmp_path / "constant.csv"
+        path.write_text("x,y\n1,5\n2,5\n3,5\n")
+        data = load_csv(path, scale_targets=True)
+        np.testing.assert_array_equal(data.targets, np.zeros(3))
+        assert data.target_range == (5.0, 5.0)
+        record = NormalizationRecord(None, None, target_min=5.0, target_max=5.0)
+        np.testing.assert_array_equal(record.apply_target([4.0, 5.0, 6.0]), np.zeros(3))
 
     def test_target_round_trip(self):
         rng = np.random.default_rng(9)

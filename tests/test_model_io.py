@@ -1,14 +1,54 @@
 """Model persistence: round trips, version gating, corruption handling."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sqnn.datasets import Dataset, gen_two_moons
+from sqnn.features import NormalizationRecord, PolynomialWeightFunction
 from sqnn.model_io import (FORMAT_VERSION, ModelFormatError, UnsupportedFormat,
                            load, save)
-from sqnn.training import GdConfig, LlsConfig, gd_train, lls_train
+from sqnn.training import GdConfig, LlsConfig, TrainedModel, gd_train, lls_train
+
+FINITE = st.floats(-1e3, 1e3)
+SPAN = st.floats(0.0, 1e3)
+
+
+@st.composite
+def models(draw):
+    """Random models of every kind, with no normalization record, a
+    feature-only record, a target-only record or both."""
+    kind = draw(st.sampled_from(["gd-full", "gd-reduced", "lls"]))
+    K, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def poly():
+        flat = draw(arrays(float, 1 + K * p, elements=FINITE))
+        return PolynomialWeightFunction.from_flat(flat, K, p)
+
+    beta = poly()
+    alpha, gamma = (poly(), poly()) if kind == "gd-full" else (None, None)
+    has_features, has_target = draw(st.booleans()), draw(st.booleans())
+    lo = hi = t_lo = t_hi = None
+    if has_features:
+        lo = draw(arrays(float, p, elements=FINITE))
+        hi = lo + draw(arrays(float, p, elements=SPAN))
+    if has_target:
+        t_lo = draw(FINITE)
+        t_hi = t_lo + draw(SPAN)
+    record = (NormalizationRecord(lo, hi, t_lo, t_hi)
+              if has_features or has_target else None)
+    config = draw(st.dictionaries(
+        st.sampled_from(["K", "lr", "loss", "seed"]),
+        st.one_of(st.integers(-5, 5), FINITE, st.text("abc", max_size=3))))
+    return TrainedModel(kind=kind, K=K, p=p, beta=beta, alpha=alpha, gamma=gamma,
+                        theta=draw(FINITE), omega=draw(FINITE),
+                        normalization=record, config=config)
 
 
 @pytest.fixture
@@ -45,6 +85,34 @@ def test_round_trip_full_model(tmp_path, full_model):
     assert reloaded.theta == full_model.theta
     assert reloaded.omega == full_model.omega
     assert reloaded.config == full_model.config
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models(), x=arrays(float, (4, 3), elements=st.floats(-2, 2)))
+def test_round_trip_is_bit_exact_for_random_models(model, x):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        save(model, path)
+        reloaded = load(path)
+    assert (reloaded.kind, reloaded.K, reloaded.p) == (model.kind, model.K, model.p)
+    for name in ("beta", "alpha", "gamma"):
+        poly, back = getattr(model, name), getattr(reloaded, name)
+        assert (poly is None) == (back is None)
+        if poly is not None:
+            np.testing.assert_array_equal(back.flat(), poly.flat())
+    assert reloaded.theta == model.theta and reloaded.omega == model.omega
+    assert reloaded.config == model.config
+    record, back = model.normalization, reloaded.normalization
+    assert (record is None) == (back is None)
+    if record is not None:
+        for name in ("feature_min", "feature_max"):
+            if getattr(record, name) is None:
+                assert getattr(back, name) is None
+            else:
+                np.testing.assert_array_equal(getattr(back, name), getattr(record, name))
+        assert (back.target_min, back.target_max) == (record.target_min, record.target_max)
+    inputs = x[:, :model.p]
+    np.testing.assert_array_equal(reloaded.predict(inputs), model.predict(inputs))
 
 
 def test_round_trip_with_target_scaling(tmp_path):
@@ -103,6 +171,38 @@ def test_corrupted_coefficient_names_field(tmp_path, lls_model):
     doc["coefficients"][2] = "not-a-float"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="coefficients"):
+        load(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coefficients", "nan"), ("coefficients", "inf"), ("theta", "-inf"),
+    ("feature_max", "-inf"), ("target_min", "nan")])
+def test_non_finite_value_names_field(tmp_path, lls_model, field, value):
+    path = tmp_path / "m.json"
+    save(lls_model, path)
+    doc = json.loads(path.read_text())
+    norm = doc["normalization"]
+    if field == "coefficients":
+        doc[field][1] = value
+    elif field == "theta":
+        doc[field] = value
+    elif field == "feature_max":
+        norm[field][0] = value
+    else:
+        norm.update(target_min=value, target_max="0x1.0p+0")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=field):
+        load(path)
+
+
+@pytest.mark.parametrize("missing", ["feature_min", "feature_max"])
+def test_feature_range_half_missing_rejected(tmp_path, lls_model, missing):
+    path = tmp_path / "m.json"
+    save(lls_model, path)
+    doc = json.loads(path.read_text())
+    doc["normalization"][missing] = None
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="feature_min"):
         load(path)
 
 
