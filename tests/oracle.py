@@ -7,6 +7,11 @@ matrix-vector products. Unlike the chain it also models nonzero state
 and projector phases and arbitrary observable eigenvalues. `AngleSet`
 and the scalar wrappers `expectation_closed_form` and
 `expectation_gradient` evaluate sqnn.circuit's kernels on one angle set.
+
+`hstack_design` and `reference_gd_reduced` are the reduced-shape
+gradient-descent path written plainly: a row-major design stacked from
+its power blocks, the gradient (res * -sin(beta)) @ design and the MSE
+residual 2 (yhat - y) / n, in the trainer's loop order.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sqnn.circuit import expectation_batch, gradient_batch
+from sqnn.features import fit_feature_scaling
 
 
 def _require_finite(**angles: float) -> None:
@@ -174,3 +180,47 @@ def expectation_matrix(angles: AngleSet,
     p0 = float(np.abs(amp[0]) ** 2)
     p1 = float(np.abs(amp[1]) ** 2)
     return obs.lambda0 * p0 + obs.lambda1 * p1
+
+
+def hstack_design(inputs, K: int) -> np.ndarray:
+    """Rows [1, x, x^2, ..., x^K] as one C-order np.hstack of the blocks."""
+    X = np.asarray(inputs, dtype=float)
+    blocks, powers = [np.ones((X.shape[0], 1))], X
+    for k in range(1, K + 1):
+        if k > 1:
+            powers = powers * X
+        blocks.append(powers)
+    return np.hstack(blocks)
+
+
+def reference_gd_reduced(data, config) -> tuple[np.ndarray, list[float]]:
+    """Batch gradient descent on cos(design @ w); returns the final
+    coefficients and the loss after each update, stopping as
+    sqnn.training.gd_train does (target_loss, then max_epochs)."""
+    X = data.inputs
+    if config.normalize:
+        X = fit_feature_scaling(X).apply_features(X)
+    design = hstack_design(X, config.K)
+    y, n = data.targets, data.targets.size
+    w = np.random.default_rng(config.seed).uniform(
+        -config.init_scale, config.init_scale, design.shape[1])
+
+    def loss_and_residual(yhat):
+        if config.loss == "mse":
+            diff = yhat - y
+            return float(np.mean(diff ** 2)), 2.0 * diff / n
+        margin = 1.0 - yhat * y
+        return (float(np.mean(np.maximum(0.0, margin))),
+                np.where(margin > 0, -y, 0.0) / n)
+
+    beta = design @ w
+    loss, res = loss_and_residual(np.cos(beta))
+    history = []
+    for _ in range(config.max_epochs):
+        if loss <= config.target_loss:
+            break
+        w = w - config.learning_rate * ((res * -np.sin(beta)) @ design)
+        beta = design @ w
+        loss, res = loss_and_residual(np.cos(beta))
+        history.append(loss)
+    return w, history or [loss]

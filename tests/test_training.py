@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
                            TrainingDiverged, arctanh_labels, gd_train,
                            hinge_loss, lls_train, mse_loss)
 
-from oracle import AngleSet, expectation_closed_form
+from oracle import AngleSet, expectation_closed_form, reference_gd_reduced
 
 
 def replica_init(config: GdConfig, n_params: int) -> np.ndarray:
@@ -160,6 +161,28 @@ class TestGdTrain:
             np.testing.assert_allclose(taken, fd, atol=1e-6)
             checked += 1
         assert checked == 100
+
+    @pytest.mark.parametrize("loss", ["mse", "hinge"])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_reduced_matches_the_plain_reference_loop(self, loss, K):
+        rng = np.random.default_rng(40 + K)
+        data = make_dataset(rng, n=150, p=3, classification=loss == "hinge")
+        config = GdConfig(learning_rate=0.2, max_epochs=300, seed=K, K=K, loss=loss)
+        w_ref, history_ref = reference_gd_reduced(data, config)
+        model, history = gd_train(data, config, model_shape="reduced")
+        np.testing.assert_allclose(model.beta.flat(), w_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(history, history_ref, rtol=1e-12, atol=0)
+
+        # a target met part-way, halfway between two losses so rounding
+        # cannot move it, stops both loops after the same update
+        halfway = (history_ref[0] + history_ref[-1]) / 2
+        h = next(i for i, loss_i in enumerate(history_ref) if loss_i < halfway)
+        above, below = history_ref[h - 1], history_ref[h]
+        assert above - below > 1e-9 * below
+        target = replace(config, target_loss=(above + below) / 2)
+        _, stopped_ref = reference_gd_reduced(data, target)
+        _, stopped = gd_train(data, target, model_shape="reduced")
+        assert len(stopped) == len(stopped_ref) < config.max_epochs
 
     def test_full_chain_rule_matches_finite_differences(self):
         rng = np.random.default_rng(6)
