@@ -89,7 +89,10 @@ def build_design_matrix(inputs, K: int) -> np.ndarray:
     """Rows [1, x_1..x_p, x_1^2..x_p^2, ..., x_1^K..x_p^K].
 
     Column order matches PolynomialWeightFunction.flat(), so
-    design @ flat == eval_angle row-wise.
+    design @ flat == eval_angle row-wise. The array is column-major:
+    the trainers' products design @ w and v @ design then read each
+    column contiguously, and numpy's SVD gets its input in the layout
+    it copies to anyway.
     """
     if K < 1:
         raise ValueError(f"K must be positive, got {K}")
@@ -98,14 +101,15 @@ def build_design_matrix(inputs, K: int) -> np.ndarray:
         X = X[None, :]
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"inputs must be a non-empty 2-D array, got shape {X.shape}")
-    n = X.shape[0]
-    blocks = [np.ones((n, 1))]
+    n, p = X.shape
+    design = np.empty((n, 1 + K * p), order="F")
+    design[:, 0] = 1.0
     powers = X
     for k in range(1, K + 1):
         if k > 1:
             powers = powers * X
-        blocks.append(powers)
-    return np.hstack(blocks)
+        design[:, 1 + (k - 1) * p:1 + k * p] = powers
+    return design
 
 
 def _to_unit(v, lo, hi):

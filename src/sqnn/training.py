@@ -79,7 +79,10 @@ def _loss_and_residual(kind: str, yhat: np.ndarray, y: np.ndarray):
     n = y.size
     if kind == "mse":
         diff = yhat - y
-        return float(np.mean(diff ** 2)), 2.0 * diff / n
+        loss = float(np.mean(diff ** 2))
+        diff *= 2.0
+        diff /= n
+        return loss, diff
     if kind == "hinge":
         margin = 1.0 - yhat * y
         active = margin > 0
@@ -210,9 +213,16 @@ def _design(data, K: int, normalize: bool):
 def _reduced_value_and_grad(design, w):
     """cos(beta) for beta = design @ w: the |0> input measured in the
     computational basis after Ry(beta). Equals the five-angle expectation
-    with the other four angles at zero."""
+    with the other four angles at zero. The gradient closure scales
+    sin(beta) in place, so it is called at most once."""
     beta = design @ w
-    return np.cos(beta), lambda res: (res * -np.sin(beta)) @ design
+    value = np.cos(beta)
+    sin = np.sin(beta, out=beta)
+
+    def grad(res):
+        return -(np.multiply(sin, res, out=sin) @ design)
+
+    return value, grad
 
 
 def _full_value_and_grad(design, w):

@@ -17,6 +17,8 @@ from sqnn.features import (NormalizationRecord, PolynomialWeightFunction,
                            build_design_matrix, dct2, dct_features,
                            eval_angle, fit_feature_scaling, idct2)
 
+from oracle import hstack_design
+
 
 def horner_eval(f, x):
     """Per-feature Horner evaluation of c0 + sum_k sum_j c_kj x_j^k."""
@@ -144,6 +146,13 @@ class TestDesignMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_design_matrix(np.empty((0, 2)), K=1)
+
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_equals_stacked_blocks_and_is_column_major(self, K):
+        X = np.random.default_rng(9).uniform(-1, 1, (40, 3))
+        D = build_design_matrix(X, K)
+        np.testing.assert_array_equal(D, hstack_design(X, K))
+        assert D.flags.f_contiguous
 
 
 class TestNormalization:
