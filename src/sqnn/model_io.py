@@ -17,7 +17,7 @@ Format version 1 fields:
     theta, omega     hex-float scalars (state / observable angles)
     normalization    {feature_min, feature_max: hex lists, both or
                       neither null; target_min, target_max: hex or
-                      null} or null
+                      null} or null; no max lies below its min
     config           trainer settings snapshot (plain JSON)
     created          ISO-8601 UTC timestamp
 """
@@ -154,6 +154,10 @@ def load(path) -> TrainedModel:
         if (fields["feature_min"] is None) != (fields["feature_max"] is None):
             raise ModelFormatError("fields 'feature_min' and 'feature_max' must both be "
                                    "present or both be null")
+        for lo, hi in (("feature_min", "feature_max"), ("target_min", "target_max")):
+            if (fields[lo] is not None and fields[hi] is not None
+                    and np.any(fields[hi] < fields[lo])):
+                raise ModelFormatError(f"field {hi!r} lies below {lo!r}")
         norm = NormalizationRecord(**fields)
 
     config = doc.get("config") or {}

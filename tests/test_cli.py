@@ -293,3 +293,15 @@ class TestModelFileErrors:
         model.write_text(json.dumps(doc))
         result = invoke(runner, "eval", "--model", model, "--data", data, expect=3)
         assert "bad model file" in result.output and "coefficients" in result.output
+
+    def test_feature_max_below_min_is_io_error(self, runner, tmp_path):
+        data = tmp_path / "moons.csv"
+        model = tmp_path / "m.json"
+        invoke(runner, "gen", "two-moons", "--n", 40, "--out", data)
+        invoke(runner, "train", "--data", data, "--method", "lls", "--out", model)
+        doc = json.loads(model.read_text())
+        norm = doc["normalization"]
+        norm["feature_min"], norm["feature_max"] = norm["feature_max"], norm["feature_min"]
+        model.write_text(json.dumps(doc))
+        result = invoke(runner, "eval", "--model", model, "--data", data, expect=3)
+        assert "bad model file" in result.output and "feature_max" in result.output

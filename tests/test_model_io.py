@@ -206,6 +206,35 @@ def test_feature_range_half_missing_rejected(tmp_path, lls_model, missing):
         load(path)
 
 
+@pytest.mark.parametrize("field", ["feature_max", "target_max"])
+def test_max_below_min_names_field(tmp_path, lls_model, field):
+    path = tmp_path / "m.json"
+    save(lls_model, path)
+    doc = json.loads(path.read_text())
+    norm = doc["normalization"]
+    if field == "feature_max":
+        norm["feature_max"][1] = float.hex(float.fromhex(norm["feature_min"][1]) - 0.5)
+    else:
+        norm.update(target_min="0x1.0p+1", target_max="0x1.0p+0")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"{field}' lies below"):
+        load(path)
+
+
+def test_equal_bounds_stay_legal(tmp_path, lls_model):
+    # a constant feature or target has max == min and maps to 0
+    path = tmp_path / "m.json"
+    save(lls_model, path)
+    doc = json.loads(path.read_text())
+    norm = doc["normalization"]
+    norm["feature_max"][0] = norm["feature_min"][0]
+    norm.update(target_min="0x1.0p+0", target_max="0x1.0p+0")
+    path.write_text(json.dumps(doc))
+    reloaded = load(path)
+    assert reloaded.normalization.feature_max[0] == reloaded.normalization.feature_min[0]
+    assert reloaded.normalization.apply_features([[3.0, 0.0]])[0, 0] == 0.0
+
+
 def test_wrong_coefficient_count_names_field(tmp_path, lls_model):
     path = tmp_path / "m.json"
     save(lls_model, path)
