@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import gzip
 import logging
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -34,7 +35,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-MISSING_MARKERS = {"", "?", "NA", "nan"}
+MISSING_MARKERS = {"", "?", "NA"}
 
 # Truth tables over inputs ((-1,-1), (-1,+1), (+1,-1), (+1,+1)),
 # false -> -1 and true -> +1.
@@ -113,9 +114,10 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     """Load a numeric CSV into a Dataset.
 
     The target column may be given by index (negative counts from the
-    end) or, when a header is present, by name. Cells equal to "?" or
-    empty count as missing; rows containing a missing value are dropped
-    and the count is reported. `drop_cols` removes columns (indices or
+    end) or, when a header is present, by name. Cells equal to "?", "NA"
+    or empty count as missing; rows containing a missing value are
+    dropped and the count is reported. A ragged row, or a non-numeric or
+    non-finite ("nan", "inf") cell in a kept column, raises ValueError. `drop_cols` removes columns (indices or
     header names) before the target is resolved; `drop_sparse_cols=t`
     additionally removes feature columns whose missing fraction exceeds
     t. `has_header=None` sniffs the first line. `scale_targets` is
@@ -128,6 +130,10 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
+    ncols = len(rows[0])
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"{path}: ragged row with {len(row)} cells, expected {ncols}")
 
     header: list[str] | None = None
     if has_header is None:
@@ -143,11 +149,6 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
         rows = rows[1:]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-
-    ncols = len(rows[0])
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"{path}: ragged row with {len(row)} cells, expected {ncols}")
 
     def resolve(col) -> int:
         if isinstance(col, str):
@@ -176,12 +177,15 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     keep = [j for j in range(ncols) if j not in dropped_cols]
 
     data, dropped_rows = [], 0
-    for row in rows:
+    for i, row in enumerate(rows, start=1):
         try:
             values = [_parse_cell(row[j], label_map if j == target_idx else None)
                       for j in keep]
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric cell: {exc}") from exc
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: non-finite cell in data row {i}; mark a "
+                             "missing value with '?' or an empty cell")
         if any(v is None for v in values):
             dropped_rows += 1
             continue

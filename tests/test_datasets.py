@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sqnn.datasets import (Dataset, filter_pair, gen_logic_gate, gen_sinc,
@@ -134,6 +134,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="ragged row with 4 cells, expected 3"):
             load_csv(path, drop_sparse_cols=drop_sparse_cols)
 
+    def test_rows_wider_than_the_header_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,y\n1,2,0.5\n3,4,-0.5\n")
+        with pytest.raises(ValueError, match="ragged row with 3 cells, expected 2"):
+            load_csv(path)
+
+    def test_nan_cell_rejected_not_dropped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,y\n1,nan,0.5\n3,4,-0.5\n")
+        with pytest.raises(ValueError, match="non-finite cell in data row 1"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
@@ -145,6 +157,61 @@ class TestLoadCsv:
         path.write_text("1,2,0.5\n")
         with pytest.raises(ValueError, match="out of range"):
             load_csv(path, target_column=9)
+
+
+def csv_grid(data, n_rows, n_cols):
+    """A header line plus n_rows x n_cols finite numeric cells."""
+    cell = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    rows = data.draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                              min_size=n_rows, max_size=n_rows), label="rows")
+    return [f"c{j}" for j in range(n_cols)], rows
+
+
+def write_grid(path, header, rows):
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+
+
+class TestLoadCsvProperties:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n_rows=st.integers(1, 8), n_cols=st.integers(2, 5),
+           defect=st.sampled_from(["long", "short", "nan", "NaN", "inf", "-inf",
+                                   "Infinity", "1e999", "abc", "1.2.3", "0x10"]))
+    def test_malformed_row_raises(self, tmp_path, data, n_rows, n_cols, defect):
+        header, rows = csv_grid(data, n_rows, n_cols)
+        r = data.draw(st.integers(0, n_rows - 1), label="row")
+        c = data.draw(st.integers(0, n_cols - 1), label="column")
+        if defect == "long":
+            rows[r].append("1.0")
+        elif defect == "short":
+            rows[r].pop()
+        else:
+            rows[r][c] = defect
+        # a missing value elsewhere in the row must not hide the defect
+        if n_cols > 2 and data.draw(st.booleans(), label="also missing"):
+            rows[r][(c + 1) % (n_cols - 1)] = "?"
+        path = tmp_path / "t.csv"
+        write_grid(path, header, rows)
+        with pytest.raises(ValueError, match=str(path)):
+            load_csv(path)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n_rows=st.integers(2, 8), n_cols=st.integers(2, 5))
+    def test_missing_cells_drop_their_rows(self, tmp_path, data, n_rows, n_cols):
+        header, rows = csv_grid(data, n_rows, n_cols)
+        gone = data.draw(st.sets(st.integers(0, n_rows - 1), max_size=n_rows - 1),
+                         label="rows with a missing cell")
+        expected = np.array([[float(v) for v in rows[i][:-1]]
+                             for i in range(n_rows) if i not in gone])
+        for i in gone:
+            j = data.draw(st.integers(0, n_cols - 1), label="column")
+            rows[i][j] = data.draw(st.sampled_from(["?", "", " ? "]), label="marker")
+        path = tmp_path / "t.csv"
+        write_grid(path, header, rows)
+        ds = load_csv(path, scale_targets=True)
+        assert (ds.n, ds.dropped_rows) == (n_rows - len(gone), len(gone))
+        np.testing.assert_array_equal(ds.inputs, expected)
 
 
 class TestLoadMnistIdx:
