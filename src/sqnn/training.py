@@ -216,13 +216,8 @@ def _reduced_value_and_grad(design, w):
     with the other four angles at zero. The gradient closure scales
     sin(beta) in place, so it is called at most once."""
     beta = design @ w
-    value = np.cos(beta)
-    sin = np.sin(beta, out=beta)
-
-    def grad(res):
-        return -(np.multiply(sin, res, out=sin) @ design)
-
-    return value, grad
+    sin = np.sin(beta)
+    return np.cos(beta, out=beta), lambda res: -(np.multiply(sin, res, out=sin) @ design)
 
 
 def _full_value_and_grad(design, w):
