@@ -117,11 +117,12 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     end) or, when a header is present, by name. Cells equal to "?", "NA"
     or empty count as missing; rows containing a missing value are
     dropped and the count is reported. A ragged row, or a non-numeric or
-    non-finite ("nan", "inf") cell in a kept column, raises ValueError. `drop_cols` removes columns (indices or
-    header names) before the target is resolved; `drop_sparse_cols=t`
-    additionally removes feature columns whose missing fraction exceeds
-    t. `has_header=None` sniffs the first line. `scale_targets` is
-    "auto" (rescale to [-1, 1] only when out of range), True or False.
+    non-finite ("nan", "inf") cell in a kept column, raises ValueError.
+    `drop_cols` removes columns (indices or header names) before the
+    target is resolved; `drop_sparse_cols=t` additionally removes feature
+    columns whose missing fraction exceeds t. `has_header=None` sniffs
+    the first line. `scale_targets` is "auto" (rescale to [-1, 1] only
+    when out of range), True or False.
 
     `label_map` translates categorical target strings, e.g.
     {"M": 1, "B": -1}.

@@ -213,11 +213,11 @@ def _design(data, K: int, normalize: bool):
 def _reduced_value_and_grad(design, w):
     """cos(beta) for beta = design @ w: the |0> input measured in the
     computational basis after Ry(beta). Equals the five-angle expectation
-    with the other four angles at zero. The gradient closure scales
-    sin(beta) in place, so it is called at most once."""
+    with the other four angles at zero. The gradient closure turns beta
+    into sin(beta) * res in place, so it is called at most once."""
     beta = design @ w
-    sin = np.sin(beta)
-    return np.cos(beta, out=beta), lambda res: -(np.multiply(sin, res, out=sin) @ design)
+    value = np.cos(beta)
+    return value, lambda res: -(np.multiply(np.sin(beta, out=beta), res, out=beta) @ design)
 
 
 def _full_value_and_grad(design, w):
