@@ -265,8 +265,8 @@ BETAS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity
 
 class TestReducedIdentity:
     """With alpha = gamma = theta = omega = 0 the five-angle kernels are
-    exactly cos(beta) and -sin(beta): the reduced trainer computes these
-    directly and must keep the five-angle results bit for bit."""
+    exactly cos(beta) and -sin(beta), the reduced network's value (which
+    its prediction computes directly) and derivative, bit for bit."""
 
     @given(BETAS)
     def test_scalar(self, beta):

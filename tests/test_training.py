@@ -7,13 +7,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqnn import linalg
 from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
 from sqnn.features import PolynomialWeightFunction, build_design_matrix, eval_angle
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
-                           TrainingDiverged, arctanh_labels, gd_train,
-                           hinge_loss, lls_train, mse_loss)
+                           TrainingDiverged, _cos_and_sin, arctanh_labels,
+                           gd_train, hinge_loss, lls_train, mse_loss)
 
 from oracle import AngleSet, expectation_closed_form, reference_gd_reduced
 
@@ -184,6 +186,20 @@ class TestGdTrain:
         _, stopped = gd_train(data, target, model_shape="reduced")
         assert len(stopped) == len(stopped_ref) < config.max_epochs
 
+    @pytest.mark.parametrize("loss", ["mse", "hinge"])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_reduced_matches_the_reference_loop_at_wide_angles(self, loss, K):
+        # init_scale 10 puts beta far outside [-pi, pi], so beta / 2 crosses
+        # the poles of tan many times over the fit
+        rng = np.random.default_rng(60 + K)
+        data = make_dataset(rng, n=150, p=3, classification=loss == "hinge")
+        config = GdConfig(learning_rate=0.05, max_epochs=300, seed=K, K=K, loss=loss,
+                          init_scale=10.0)
+        w_ref, history_ref = reference_gd_reduced(data, config)
+        model, history = gd_train(data, config, model_shape="reduced")
+        np.testing.assert_allclose(model.beta.flat(), w_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(history, history_ref, rtol=1e-12, atol=0)
+
     def test_full_chain_rule_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         step = 1e-6
@@ -236,6 +252,30 @@ class TestGdTrain:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="model_shape"):
             gd_train(gen_logic_gate("AND"), GdConfig(), model_shape="wide")
+
+
+BETAS = st.floats(min_value=-1e6, max_value=1e6)
+
+
+class TestCosAndSin:
+    """The reduced trainer's cos and sin from tan(beta / 2), against
+    numpy's, over angles far past the poles of tan."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(BETAS, st.lists(BETAS, min_size=1, max_size=64)))
+    def test_matches_numpy(self, betas):
+        beta = np.array(betas)  # a 0-d array for a scalar
+        cos, sin = _cos_and_sin(beta.copy())
+        np.testing.assert_allclose(cos, np.cos(beta), rtol=0, atol=4.5e-16)
+        np.testing.assert_allclose(sin, np.sin(beta), rtol=0, atol=4.5e-16)
+
+    def test_special_inputs(self):
+        with np.errstate(invalid="ignore"):
+            cos, sin = _cos_and_sin(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        np.testing.assert_array_equal(cos[:2], [1.0, 1.0])
+        np.testing.assert_array_equal(np.signbit(sin[:2]), [False, True])
+        np.testing.assert_array_equal(sin[:2], [0.0, 0.0])
+        assert np.isnan(cos[2:]).all() and np.isnan(sin[2:]).all()
 
 
 class TestPredictionPaths:
