@@ -107,6 +107,22 @@ def _parse_cell(cell: str, label_map: dict[str, float] | None) -> float | None:
     return float(text)
 
 
+def _sniff_header(path, row, label_map) -> bool:
+    """The first row is a header when it holds text and no number (missing
+    markers aside); a row that mixes the two could be either."""
+    text = []
+    for cell in row:
+        try:
+            if _parse_cell(cell, label_map) is not None:
+                text.append(False)
+        except ValueError:
+            text.append(True)
+    if any(text) and not all(text):
+        raise ValueError(f"{path}: row 1 mixes numbers and text, so it is neither "
+                         "a clear header nor clear data; fix it or set has_header")
+    return any(text)
+
+
 def load_csv(path, target_column=-1, has_header: bool | None = None, *,
              label_map: dict[str, float] | None = None,
              drop_cols=(), drop_sparse_cols: float | None = None,
@@ -120,8 +136,10 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     non-finite ("nan", "inf") cell in a kept column, raises ValueError.
     `drop_cols` removes columns (indices or header names) before the
     target is resolved; `drop_sparse_cols=t` additionally removes feature
-    columns whose missing fraction exceeds t. `has_header=None` sniffs
-    the first line. `scale_targets` is "auto" (rescale to [-1, 1] only
+    columns whose missing fraction exceeds t; at least one feature column
+    must be left. `has_header=None` takes the first row for a header when
+    none of its cells is a number, and raises ValueError when it mixes
+    numbers and text. `scale_targets` is "auto" (rescale to [-1, 1] only
     when out of range), True or False.
 
     `label_map` translates categorical target strings, e.g.
@@ -136,16 +154,9 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
         if len(row) != ncols:
             raise ValueError(f"{path}: ragged row with {len(row)} cells, expected {ncols}")
 
-    header: list[str] | None = None
     if has_header is None:
-        probe = rows[0]
-        try:
-            for cell in probe:
-                _parse_cell(cell, label_map)
-        except ValueError:
-            header = [h.strip() for h in probe]
-    elif has_header:
-        header = [h.strip() for h in rows[0]]
+        has_header = _sniff_header(path, rows[0], label_map)
+    header = [h.strip() for h in rows[0]] if has_header else None
     if header is not None:
         rows = rows[1:]
     if not rows:
@@ -176,6 +187,9 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     if target_idx in dropped_cols:
         raise ValueError(f"{path}: target column {target_column!r} was dropped")
     keep = [j for j in range(ncols) if j not in dropped_cols]
+    if len(keep) < 2:
+        raise ValueError(f"{path}: no feature column left after the target and "
+                         "the dropped columns")
 
     data, dropped_rows = [], 0
     for i, row in enumerate(rows, start=1):

@@ -82,6 +82,15 @@ class TestTrainEval:
         invoke(runner, "train", "--data", tmp_path / "nope.csv",
                "--out", tmp_path / "m.json", expect=3)
 
+    def test_one_column_file_is_io_error(self, runner, tmp_path):
+        data = tmp_path / "onecol.csv"
+        data.write_text("0.5\n-0.5\n")
+        result = invoke(runner, "train", "--data", data, "--method", "lls",
+                        "--out", tmp_path / "m.json", expect=3)
+        assert "error: " in result.output and "no feature column" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "m.json").exists()
+
     def test_perfect_fit_eval(self, runner, tmp_path):
         data = tmp_path / "moons.csv"
         model = tmp_path / "m.json"

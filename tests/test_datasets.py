@@ -146,6 +146,45 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-finite cell in data row 1"):
             load_csv(path)
 
+    def test_mixed_first_row_is_neither_header_nor_data(self, tmp_path):
+        # one typo in a headerless file must not turn its first row into
+        # a header and silently drop it
+        path = tmp_path / "t.csv"
+        path.write_text("1,abc,0.5\n2,3,0.4\n4,5,-0.2\n")
+        with pytest.raises(ValueError, match="row 1 mixes numbers and text.*has_header"):
+            load_csv(path)
+        ds = load_csv(path, has_header=True)
+        assert ds.n == 2 and ds.feature_names == ("1", "abc")
+        with pytest.raises(ValueError, match="non-numeric"):
+            load_csv(path, has_header=False)
+
+    def test_sniffed_header_ignores_missing_markers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(",a,y\n1,2,0.5\n3,4,-0.5\n")
+        assert load_csv(path).feature_names == ("", "a")
+        path.write_text("?,2,0.5\n3,4,-0.5\n5,6,0.1\n")
+        ds = load_csv(path)
+        assert (ds.n, ds.dropped_rows, ds.feature_names) == (2, 1, None)
+
+    def test_label_map_cells_count_as_numbers_in_the_sniff(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("842302,M,17.99\n842517,B,20.57\n")
+        ds = load_csv(path, target_column=1, label_map={"M": 1.0, "B": -1.0})
+        assert ds.n == 2 and ds.feature_names is None
+        np.testing.assert_array_equal(ds.targets, [1.0, -1.0])
+
+    @pytest.mark.parametrize("text, options", [
+        ("y\n0.5\n-0.5\n", {}),
+        ("0.5\n-0.5\n", {}),
+        ("id,y\n1,0.5\n2,-0.5\n", {"drop_cols": ("id",)}),
+        ("a,y\n?,0.5\n?,-0.5\n1,0.1\n", {"drop_sparse_cols": 0.5}),
+    ])
+    def test_no_feature_column_left_rejected(self, tmp_path, text, options):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{path}: no feature column left"):
+            load_csv(path, **options)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
