@@ -118,8 +118,7 @@ def _sniff_header(path, row, label_map) -> bool:
         except ValueError:
             text.append(True)
     if any(text) and not all(text):
-        raise ValueError(f"{path}: row 1 mixes numbers and text, so it is neither "
-                         "a clear header nor clear data; fix it or set has_header")
+        raise ValueError(f"{path}: row 1 mixes numbers and text; fix it or set has_header")
     return any(text)
 
 

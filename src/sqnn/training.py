@@ -3,11 +3,10 @@
 Two trainers are provided. Gradient descent minimizes a batch loss over
 the coefficients of polynomial angle functions (and, for the five-angle
 network, the scalar state and observable angles), using the analytic
-circuit derivatives chained with d(angle)/d(c_kj) = x_j^k. The reduced
-network's value is cos(beta) and its derivative -sin(beta), both taken
-each epoch from one tan(beta / 2); the five-angle network's value and
-partials come from one forward and reverse pass of the circuit's
-Bloch-vector chain per epoch. The one-shot
+circuit derivatives chained with d(angle)/d(c_kj) = x_j^k. Per epoch, the
+reduced network's cos(beta) and -sin(beta) come from one tan(beta / 2),
+and the five-angle network's value and partials from one forward and
+reverse pass of the circuit's Bloch-vector chain. The one-shot
 least-squares trainer maps labels through arctanh and solves for the
 polynomial coefficients with a pseudoinverse, which is a global minimum
 of the squared error in the transformed space.
@@ -212,11 +211,9 @@ def _design(data, K: int, normalize: bool):
 
 
 def _cos_and_sin(beta):
-    """cos(beta) and sin(beta) from t = tan(beta / 2), by the half-angle
-    identities cos = (1 - t)(1 + t) / (1 + t^2) and sin = 2t / (1 + t^2).
-    numpy vectorises float64 tan but not sin and cos, so this is about
-    four times faster than np.cos plus np.sin, and within 3.3e-16 of them
-    for |beta| <= 1e6. Overwrites beta, which ends up holding sin(beta)."""
+    """cos and sin of beta from t = tan(beta / 2): (1 - t)(1 + t) / (1 + t^2)
+    and 2t / (1 + t^2). numpy vectorises float64 tan but not sin and cos.
+    Works in place: beta ends up holding sin(beta)."""
     t = np.tan(np.multiply(beta, 0.5, out=beta), out=beta)
     cos = np.subtract(1.0, t)
     cos *= 1.0 + t
@@ -231,9 +228,8 @@ def _cos_and_sin(beta):
 def _reduced_value_and_grad(design, w):
     """cos(beta) for beta = design @ w: the |0> input measured in the
     computational basis after Ry(beta). Equals the five-angle expectation
-    with the other four angles at zero. The gradient closure scales the
-    epoch's sin(beta) by the residual in place, so it is called at most
-    once."""
+    with the other four angles at zero. The gradient closure scales sin(beta)
+    by the residual in place, so it is called at most once."""
     value, sin = _cos_and_sin(design @ w)
     return value, lambda res: -(np.multiply(sin, res, out=sin) @ design)
 
