@@ -21,7 +21,6 @@ __all__ = [
     "NormalizationRecord",
     "eval_angle",
     "build_design_matrix",
-    "fit_feature_scaling",
     "dct2",
     "idct2",
     "dct_features",
@@ -94,6 +93,14 @@ def build_design_matrix(inputs, K: int) -> np.ndarray:
     column contiguously, and numpy's SVD gets its input in the layout
     it copies to anyway.
     """
+    return _power_design(inputs, K, scale=False)[0]
+
+
+def _power_design(inputs, K: int, scale: bool):
+    """(design, lo, hi): build_design_matrix's design, with the inputs
+    min-max scaled onto [-1, 1] first when `scale` is set; lo and hi are
+    then their column minima and maxima, else None. The inputs are
+    copied once, into the first power block, and scaled there."""
     if K < 1:
         raise ValueError(f"K must be positive, got {K}")
     X = np.asarray(inputs, dtype=float)
@@ -104,21 +111,30 @@ def build_design_matrix(inputs, K: int) -> np.ndarray:
     n, p = X.shape
     design = np.empty((n, 1 + K * p), order="F")
     design[:, 0] = 1.0
-    powers = X
-    for k in range(1, K + 1):
-        if k > 1:
-            powers = powers * X
-        design[:, 1 + (k - 1) * p:1 + k * p] = powers
-    return design
+    first = design[:, 1:1 + p]
+    first[...] = X
+    lo = hi = None
+    if scale:
+        lo, hi = first.min(axis=0), first.max(axis=0)
+        _to_unit(first, lo, hi)
+    for k in range(2, K + 1):
+        np.multiply(design[:, 1 + (k - 2) * p:1 + (k - 1) * p], first,
+                    out=design[:, 1 + (k - 1) * p:1 + k * p])
+    return design, lo, hi
 
 
 def _to_unit(v, lo, hi):
-    """Min-max map 2 (v - lo) / (hi - lo) - 1 onto [-1, 1]; where the
-    range has zero (or negative) width, the value maps to 0."""
+    """Min-max map 2 (v - lo) / (hi - lo) - 1 onto [-1, 1], in place on
+    the float array v; where the range has zero (or negative) width, the
+    value maps to 0."""
     span = hi - lo
     with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = 2.0 * (v - lo) / span - 1.0
-    return np.where(span > 0, scaled, 0.0)
+        v -= lo
+        v *= 2.0
+        v /= span
+        v -= 1.0
+    np.copyto(v, 0.0, where=np.logical_not(span > 0))
+    return v
 
 
 @dataclass(frozen=True)
@@ -138,7 +154,7 @@ class NormalizationRecord:
         if self.feature_min is None:
             return np.asarray(inputs, dtype=float)
         rows, single = _as_rows(inputs, self.feature_min.size)
-        scaled = _to_unit(rows, self.feature_min, self.feature_max)
+        scaled = _to_unit(rows.copy(), self.feature_min, self.feature_max)
         return scaled[0] if single else scaled
 
     def _target_range(self) -> tuple[float, float]:
@@ -147,18 +163,11 @@ class NormalizationRecord:
         return self.target_min, self.target_max
 
     def apply_target(self, y):
-        return _to_unit(np.asarray(y, dtype=float), *self._target_range())
+        return _to_unit(np.array(y, dtype=float), *self._target_range())
 
     def invert_target(self, y):
         lo, hi = self._target_range()
         return (np.asarray(y, dtype=float) + 1.0) * (hi - lo) / 2.0 + lo
-
-
-def fit_feature_scaling(inputs) -> NormalizationRecord:
-    X = np.asarray(inputs, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("need at least one sample to fit feature scaling")
-    return NormalizationRecord(feature_min=X.min(axis=0), feature_max=X.max(axis=0))
 
 
 def _dct_matrix(n: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import circuit, linalg
 from .features import (NormalizationRecord, PolynomialWeightFunction,
-                       build_design_matrix, eval_angle, fit_feature_scaling)
+                       _power_design, eval_angle)
 
 __all__ = [
     "GdConfig",
@@ -75,13 +75,13 @@ def hinge_loss(predictions, targets) -> float:
 
 
 def _loss_and_residual(kind: str, yhat: np.ndarray, y: np.ndarray):
-    """Loss value and d(loss)/d(yhat) for the batch."""
+    """Loss value and d(loss)/d(yhat) for the batch. The MSE residual
+    is formed in place on yhat."""
     n = y.size
     if kind == "mse":
-        diff = yhat - y
-        loss = float(np.mean(diff ** 2))
-        diff *= 2.0
-        diff /= n
+        diff = np.subtract(yhat, y, out=yhat)
+        loss = float(diff @ diff) / n
+        diff *= 2.0 / n
         return loss, diff
     if kind == "hinge":
         margin = 1.0 - yhat * y
@@ -200,37 +200,35 @@ def _design(data, K: int, normalize: bool):
     """Design matrix of the (scaled) inputs plus the record a trained
     model must carry: fitted feature ranges and, when the dataset's
     targets were rescaled at load time, the original target range for
-    recalibration (None when it has neither). The scaled inputs live
-    only inside this call."""
-    fitted = fit_feature_scaling(data.inputs) if normalize else NormalizationRecord(None, None)
+    recalibration (None when it has neither). The inputs are scaled
+    inside the design, so no scaled copy of them is made."""
+    design, lo, hi = _power_design(data.inputs, K, scale=normalize)
     target_range = getattr(data, "target_range", None)
-    record = NormalizationRecord(fitted.feature_min, fitted.feature_max,
-                                 *(target_range or (None, None)))
-    design = build_design_matrix(record.apply_features(data.inputs), K)
+    record = NormalizationRecord(lo, hi, *(target_range or (None, None)))
     return design, record if normalize or target_range is not None else None
 
 
-def _cos_and_sin(beta):
-    """cos and sin of beta from t = tan(beta / 2): (1 - t)(1 + t) / (1 + t^2)
-    and 2t / (1 + t^2). numpy vectorises float64 tan but not sin and cos.
-    Works in place: beta ends up holding sin(beta)."""
-    t = np.tan(np.multiply(beta, 0.5, out=beta), out=beta)
-    cos = np.subtract(1.0, t)
-    cos *= 1.0 + t
-    den = t * t
-    den += 1.0
-    cos /= den
-    t *= 2.0
-    t /= den
-    return cos, t
+def _cos_and_sin(half):
+    """cos and sin of beta = 2 half from t = tan(half): with
+    r = 2 / (1 + t^2), cos = r - 1 and sin = t r. numpy vectorises
+    float64 tan but not sin and cos. Works in place: half ends up
+    holding sin(beta)."""
+    t = np.tan(half, out=half)
+    r = np.multiply(t, t, out=np.empty_like(t))
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    t *= r
+    r -= 1.0
+    return r, t
 
 
 def _reduced_value_and_grad(design, w):
     """cos(beta) for beta = design @ w: the |0> input measured in the
     computational basis after Ry(beta). Equals the five-angle expectation
-    with the other four angles at zero. The gradient closure scales sin(beta)
-    by the residual in place, so it is called at most once."""
-    value, sin = _cos_and_sin(design @ w)
+    with the other four angles at zero. beta / 2 is design @ (w / 2),
+    exactly half of design @ w. The gradient closure scales sin(beta) by
+    the residual in place, so it is called at most once."""
+    value, sin = _cos_and_sin(design @ (0.5 * w))
     return value, lambda res: -(np.multiply(sin, res, out=sin) @ design)
 
 

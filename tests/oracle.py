@@ -8,10 +8,12 @@ and projector phases and arbitrary observable eigenvalues. `AngleSet`
 and the scalar wrappers `expectation_closed_form` and
 `expectation_gradient` evaluate sqnn.circuit's kernels on one angle set.
 
-`hstack_design` and `reference_gd_reduced` are the reduced-shape
-gradient-descent path written plainly: a row-major design stacked from
-its power blocks, the gradient (res * -sin(beta)) @ design and the MSE
-residual 2 (yhat - y) / n, in the trainer's loop order.
+`fit_feature_scaling`, `hstack_design` and `reference_gd_reduced` are
+the reduced-shape gradient-descent path written plainly: the inputs'
+column min and max in a NormalizationRecord, a row-major design stacked
+from the scaled inputs' power blocks, the gradient
+(res * -sin(beta)) @ design and the MSE residual 2 (yhat - y) / n, in
+the trainer's loop order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sqnn.circuit import expectation_batch, gradient_batch
-from sqnn.features import fit_feature_scaling
+from sqnn.features import NormalizationRecord
 
 
 def _require_finite(**angles: float) -> None:
@@ -180,6 +182,14 @@ def expectation_matrix(angles: AngleSet,
     p0 = float(np.abs(amp[0]) ** 2)
     p1 = float(np.abs(amp[1]) ** 2)
     return obs.lambda0 * p0 + obs.lambda1 * p1
+
+
+def fit_feature_scaling(inputs) -> NormalizationRecord:
+    """The record that min-max scales each input column onto [-1, 1]."""
+    X = np.asarray(inputs, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ValueError("need at least one sample to fit feature scaling")
+    return NormalizationRecord(feature_min=X.min(axis=0), feature_max=X.max(axis=0))
 
 
 def hstack_design(inputs, K: int) -> np.ndarray:

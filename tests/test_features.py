@@ -15,9 +15,9 @@ import sqnn
 from sqnn.datasets import load_csv
 from sqnn.features import (NormalizationRecord, PolynomialWeightFunction,
                            build_design_matrix, dct2, dct_features,
-                           eval_angle, fit_feature_scaling, idct2)
+                           eval_angle, idct2)
 
-from oracle import hstack_design
+from oracle import fit_feature_scaling, hstack_design
 
 
 def horner_eval(f, x):

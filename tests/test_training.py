@@ -14,10 +14,12 @@ from sqnn import linalg
 from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
 from sqnn.features import PolynomialWeightFunction, build_design_matrix, eval_angle
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
-                           TrainingDiverged, _cos_and_sin, arctanh_labels,
-                           gd_train, hinge_loss, lls_train, mse_loss)
+                           TrainingDiverged, _cos_and_sin, _design,
+                           arctanh_labels, gd_train, hinge_loss, lls_train,
+                           mse_loss)
 
-from oracle import AngleSet, expectation_closed_form, reference_gd_reduced
+from oracle import (AngleSet, expectation_closed_form, fit_feature_scaling,
+                    hstack_design, reference_gd_reduced)
 
 
 def replica_init(config: GdConfig, n_params: int) -> np.ndarray:
@@ -254,22 +256,95 @@ class TestGdTrain:
             gd_train(gen_logic_gate("AND"), GdConfig(), model_shape="wide")
 
 
+class TestDesign:
+    """The trainers' design scales the inputs inside its first power
+    block; it must equal the plain path (fit the column ranges, scale a
+    copy, stack the powers) bit for bit."""
+
+    @staticmethod
+    def check(data, K, normalize=True):
+        design, record = _design(data, K, normalize)
+        X = data.inputs
+        if normalize:
+            fitted = fit_feature_scaling(X)
+            np.testing.assert_array_equal(record.feature_min, fitted.feature_min)
+            np.testing.assert_array_equal(record.feature_max, fitted.feature_max)
+            X = fitted.apply_features(X)
+            # the scaling's own operation order, written out
+            span = fitted.feature_max - fitted.feature_min
+            with np.errstate(invalid="ignore", divide="ignore"):
+                plain = 2.0 * (data.inputs - fitted.feature_min) / span - 1.0
+            np.testing.assert_array_equal(X, np.where(span > 0, plain, 0.0))
+        np.testing.assert_array_equal(design, hstack_design(X, K))
+        assert design.flags.f_contiguous
+        return design, record
+
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_equals_the_plain_path_for_each_degree(self, K):
+        self.check(make_dataset(np.random.default_rng(30 + K), n=57, p=4), K)
+
+    def test_constant_column_maps_to_zero(self):
+        data = make_dataset(np.random.default_rng(37), n=20, p=3)
+        data = replace(data, inputs=np.column_stack([data.inputs[:, :2], np.full(20, 7.5)]))
+        design, _ = self.check(data, 3)
+        np.testing.assert_array_equal(design[:, [3, 6, 9]], np.zeros((20, 3)))
+
+    def test_without_normalization(self):
+        data = make_dataset(np.random.default_rng(38), n=30, p=2)
+        data = replace(data, inputs=data.inputs * 40.0 + 300.0)
+        _, record = self.check(data, 3, normalize=False)
+        assert record is None
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_target_range_is_carried(self, normalize):
+        data = replace(make_dataset(np.random.default_rng(39), n=25, p=3),
+                       target_range=(420.0, 500.0))
+        _, record = self.check(data, 2, normalize)
+        assert (record.target_min, record.target_max) == (420.0, 500.0)
+        assert (record.feature_min is not None) == normalize
+
+    def test_one_row(self):
+        data = Dataset(inputs=np.array([[3.0, -2.0, 0.5]]), targets=np.array([0.25]))
+        design, _ = self.check(data, 4)
+        np.testing.assert_array_equal(design, [[1.0] + [0.0] * 12])
+
+    def test_wide_input(self):
+        self.check(make_dataset(np.random.default_rng(40), n=30, p=784), 2)
+
+    def test_makes_no_scaled_copy_of_the_inputs(self):
+        # tracemalloc counts numpy's allocations: building the design
+        # holds the design and a few p-sized arrays, not a scaled copy
+        data = make_dataset(np.random.default_rng(41), n=2_000, p=784)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            design, _ = _design(data, 1, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < design.nbytes + data.inputs.nbytes // 2
+
+
 BETAS = st.floats(min_value=-1e6, max_value=1e6)
 
 
 class TestCosAndSin:
     """The reduced trainer's cos and sin from tan(beta / 2), against
-    numpy's, over angles far past the poles of tan."""
+    numpy's, over angles far past the poles of tan. _cos_and_sin takes
+    the half angle."""
 
     @settings(max_examples=300)
     @given(st.one_of(BETAS, st.lists(BETAS, min_size=1, max_size=64)))
     def test_matches_numpy(self, betas):
         beta = np.array(betas)  # a 0-d array for a scalar
-        cos, sin = _cos_and_sin(beta.copy())
+        half = beta.copy()
+        half *= 0.5
+        cos, sin = _cos_and_sin(half)
         np.testing.assert_allclose(cos, np.cos(beta), rtol=0, atol=4.5e-16)
         np.testing.assert_allclose(sin, np.sin(beta), rtol=0, atol=4.5e-16)
 
     def test_special_inputs(self):
+        # each of these is its own half
         with np.errstate(invalid="ignore"):
             cos, sin = _cos_and_sin(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
         np.testing.assert_array_equal(cos[:2], [1.0, 1.0])
