@@ -38,17 +38,17 @@ def _parse_label_map(text: str | None):
     return mapping
 
 
-def _load_dataset(path, target_column, label_map, no_scale_targets, drop_cols):
+def _load_dataset(path, target_column, label_map, no_scale_targets, drop_cols, header):
     column = int(target_column) if target_column.lstrip("+-").isdigit() else target_column
     try:
         return datasets.load_csv(
-            path, target_column=column, label_map=_parse_label_map(label_map),
-            drop_cols=tuple(drop_cols),
+            path, target_column=column, has_header=header,
+            label_map=_parse_label_map(label_map), drop_cols=tuple(drop_cols),
             scale_targets=False if no_scale_targets else "auto")
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read {path}: {exc}")
     except ValueError as exc:
-        _fail(EXIT_IO, str(exc))
+        _fail(EXIT_IO, str(exc).replace("set has_header", "pass --header or --no-header"))
 
 
 def _model_scale_targets(model, data):
@@ -82,6 +82,8 @@ drop_cols_option = click.option("--drop-col", "drop_cols", multiple=True, type=i
                                 help="Column index to drop (repeatable).")
 no_scale_option = click.option("--no-scale-targets", is_flag=True,
                                help="Fail instead of rescaling out-of-range targets.")
+header_option = click.option("--header/--no-header", default=None,
+                             help="First row is a header (default: when it holds no number).")
 
 
 @click.group()
@@ -188,6 +190,7 @@ def _trainer_config(method: str, no_normalize: bool, **settings):
 @label_map_option
 @drop_cols_option
 @no_scale_option
+@header_option
 @_trainer_options
 @click.option("--seed", default=training.GdConfig.seed, show_default=True, type=int)
 @click.option("--rcond", default=training.LlsConfig.rcond, type=float,
@@ -196,10 +199,11 @@ def _trainer_config(method: str, no_normalize: bool, **settings):
               help="Where to write the trained model.")
 @click.option("--loss-curve", default=None, type=click.Path(),
               help="Write per-epoch loss values as CSV (gd only).")
-def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets,
+def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets, header,
               model_path, loss_curve, **settings):
     """Fit a model on a CSV dataset and save it."""
-    data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols)
+    data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols,
+                         header)
     trainer, shape, config = _trainer_config(**settings)
     if trainer == "lls":
         model = training.lls_train(data, config)
@@ -248,6 +252,7 @@ def _echo_metrics(columns, rows, fmt):
 @label_map_option
 @drop_cols_option
 @no_scale_option
+@header_option
 @click.option("--task", default="classification", show_default=True,
               type=click.Choice(["regression", "classification"]))
 @click.option("--format", "fmt", default="table", show_default=True,
@@ -256,7 +261,7 @@ def _echo_metrics(columns, rows, fmt):
               help="For 2-feature models: write a prediction grid CSV.")
 @click.option("--resolution", default=100, show_default=True, type=click.IntRange(min=2))
 def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
-             no_scale_targets, task, fmt, boundary, resolution):
+             no_scale_targets, header, task, fmt, boundary, resolution):
     """Evaluate a saved model on a CSV dataset."""
     try:
         model = model_io.load(model_path)
@@ -264,7 +269,8 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
         _fail(EXIT_IO, f"cannot read model: {exc}")
     except (model_io.UnsupportedFormat, model_io.ModelFormatError) as exc:
         _fail(EXIT_IO, f"bad model file: {exc}")
-    data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols)
+    data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols,
+                         header)
     if data.p != model.p:
         _fail(EXIT_FAILURE, f"dimension mismatch: model expects p={model.p} features "
                             f"but dataset has p={data.p}")
@@ -302,6 +308,7 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
 @label_map_option
 @drop_cols_option
 @no_scale_option
+@header_option
 @_trainer_options
 @click.option("--task", default="classification", show_default=True,
               type=click.Choice(["regression", "classification"]))
@@ -310,10 +317,11 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
               help="Seeds both the fold plan and the gd initialization.")
 @click.option("--format", "fmt", default="table", show_default=True,
               type=click.Choice(["table", "csv"]))
-def cmd_crossval(data_path, target_column, label_map, drop_cols, no_scale_targets,
+def cmd_crossval(data_path, target_column, label_map, drop_cols, no_scale_targets, header,
                  task, k_folds, seed, fmt, **settings):
     """k-fold cross-validation; prints mean and std per metric."""
-    data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols)
+    data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols,
+                         header)
     trainer, shape, config = _trainer_config(seed=seed, **settings)
     if k_folds > data.n:
         raise click.UsageError(f"--k {k_folds} exceeds the dataset size n={data.n}")

@@ -91,6 +91,34 @@ class TestTrainEval:
         assert "Traceback" not in result.output
         assert not (tmp_path / "m.json").exists()
 
+    def test_numeric_header_cell_needs_the_header_flag(self, runner, tmp_path):
+        data = tmp_path / "f.csv"
+        data.write_text("x,2019,y\n0.1,0.2,0.5\n0.4,0.3,-0.5\n0.9,0.7,0.25\n")
+        model = tmp_path / "m.json"
+        result = invoke(runner, "train", "--data", data, "--method", "lls",
+                        "--out", model, expect=3)
+        assert "row 1 mixes numbers and text" in result.output
+        assert "--header" in result.output and "has_header" not in result.output
+        assert not model.exists()
+        invoke(runner, "train", "--data", data, "--method", "lls", "--header",
+               "--out", model)
+        assert model_io.load(model).p == 2
+        invoke(runner, "eval", "--model", model, "--data", data, "--header",
+               "--task", "regression")
+        invoke(runner, "crossval", "--data", data, "--header", "--k", 2,
+               "--task", "regression")
+
+    def test_no_header_reads_the_first_row_as_data(self, runner, tmp_path):
+        data = tmp_path / "f.csv"
+        data.write_text("0.1,0.2,0.5\n0.4,0.3,-0.5\n0.9,0.7,0.25\n")
+        invoke(runner, "train", "--data", data, "--method", "gd-reduced", "--no-header",
+               "--max-epochs", 2, "--out", tmp_path / "m.json")
+        text = tmp_path / "t.csv"
+        text.write_text("x1,x2,y\n0.1,0.2,0.5\n0.4,0.3,-0.5\n")
+        result = invoke(runner, "train", "--data", text, "--no-header",
+                        "--out", tmp_path / "t.json", expect=3)
+        assert "non-numeric cell" in result.output
+
     def test_perfect_fit_eval(self, runner, tmp_path):
         data = tmp_path / "moons.csv"
         model = tmp_path / "m.json"
