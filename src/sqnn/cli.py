@@ -207,13 +207,11 @@ def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets, 
     trainer, shape, config = _trainer_config(**settings)
     if trainer == "lls":
         model = training.lls_train(data, config)
-        scaled = (model.normalization.apply_features(data.inputs)
-                  if model.normalization is not None else data.inputs)
-        design = features.build_design_matrix(scaled, config.K)
+        angle = model._design_for(data.inputs) @ model.beta.flat()
         rhs = training.arctanh_labels(data.targets, config.epsilon)
-        residual = float(np.mean((design @ model.beta.flat() - rhs) ** 2))
+        residual = float(np.mean((angle - rhs) ** 2))
         click.echo(f"lls fit: residual (arctanh space) = {residual:.6g}, "
-                   f"training mse = {training.mse_loss(model.predict(data.inputs), data.targets):.6g}")
+                   f"training mse = {training.mse_loss(np.tanh(angle), data.targets):.6g}")
     else:
         try:
             model, history = training.gd_train(data, config, model_shape=shape)
@@ -379,11 +377,7 @@ def cmd_reproduce(recipe_name, data_dir, pair, dct_keep):
 @click.argument("dataset", type=click.Choice([*experiments.DATASET_SOURCES, "all"]))
 @click.option("--data-dir", default=None, type=click.Path())
 def cmd_fetch(dataset, data_dir):
-    """Download (or locally materialize) the real datasets.
-
-    `wdbc` is materialized from scikit-learn's bundled copy of the same
-    UCI data when scikit-learn is installed, so it works offline.
-    """
+    """Download the real datasets."""
     directory = experiments.resolve_data_dir(data_dir)
     directory.mkdir(parents=True, exist_ok=True)
     names = list(experiments.DATASET_SOURCES) if dataset == "all" else [dataset]
@@ -399,9 +393,6 @@ def _fetch_one(name: str, directory: Path) -> bool:
     targets = [directory / f for f in source["files"]]
     if all(t.exists() for t in targets):
         click.echo(f"{name}: already present in {directory}")
-        return True
-    if name == "wdbc" and experiments.materialize_wdbc(targets[0]):
-        click.echo(f"wdbc: wrote {targets[0]} from scikit-learn's bundled copy")
         return True
     ok = True
     for url in source["urls"]:

@@ -50,8 +50,7 @@ DATASET_SOURCES = {
     "wdbc": {
         "files": ["wdbc.data"],
         "urls": ["https://archive.ics.uci.edu/static/public/17/breast+cancer+wisconsin+diagnostic.zip"],
-        "note": ("extract wdbc.data; `sqnn fetch wdbc` can also materialize "
-                 "it from scikit-learn's bundled copy without network access"),
+        "note": "extract wdbc.data",
     },
     "mnist": {
         "files": [
@@ -121,24 +120,6 @@ def require_files(dataset: str, data_dir: Path) -> list[Path]:
     if missing:
         raise MissingData(dataset, missing, data_dir)
     return paths
-
-
-def materialize_wdbc(path: Path) -> bool:
-    """Write wdbc.data from scikit-learn's bundled copy of the same UCI
-    table (id, M/B diagnosis, 30 features per row). Returns False when
-    scikit-learn is not installed."""
-    try:
-        from sklearn.datasets import load_breast_cancer
-    except ImportError:
-        return False
-    bunch = load_breast_cancer()
-    rows = []
-    for i, (features, label) in enumerate(zip(bunch.data, bunch.target)):
-        diagnosis = "M" if label == 0 else "B"
-        rows.append(",".join([str(842301 + i), diagnosis]
-                             + [f"{v:.17g}" for v in features]))
-    Path(path).write_text("\n".join(rows) + "\n")
-    return True
 
 
 def available_recipes() -> list[str]:

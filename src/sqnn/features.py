@@ -3,8 +3,11 @@
 The polynomial weight function sums per-power dot products of the input
 coordinates, c0 + sum_k sum_j c_kj * x_j^k, and feeds a rotation angle.
 The least-squares model's output tanh of the polynomial is cos of the
-angle arccos(tanh(.)). The same power expansion, laid out row-wise, is
-the design matrix used by the least-squares trainer.
+angle arccos(tanh(.)). The polynomial is built in one place: the power
+design matrix [1, x, x^2, ..., x^K], column-major, with the inputs
+min-max scaled inside its first block. Training fits the scaling
+bounds there and solves or descends over the design; prediction builds
+the same design with the stored bounds and takes design @ flat.
 Image preprocessing uses the orthonormal type-II DCT, applied as the
 explicit basis matrix C: the coefficients of a square image X are
 C @ X @ C.T.
@@ -21,8 +24,6 @@ __all__ = [
     "NormalizationRecord",
     "eval_angle",
     "build_design_matrix",
-    "dct2",
-    "idct2",
     "dct_features",
 ]
 
@@ -75,32 +76,31 @@ def _as_rows(x, p: int) -> tuple[np.ndarray, bool]:
 def eval_angle(f: PolynomialWeightFunction, x):
     """Evaluate c0 + sum_{k,j} c_kj x_j^k for one input or a batch."""
     rows, single = _as_rows(x, f.p)
-    total = np.full(rows.shape[0], f.c0)
-    powers = rows.copy()
-    for k in range(f.K):
-        if k > 0:
-            powers = powers * rows
-        total = total + powers @ f.c[k]
+    total = build_design_matrix(rows, f.K) @ f.flat()
     return float(total[0]) if single else total
 
 
 def build_design_matrix(inputs, K: int) -> np.ndarray:
-    """Rows [1, x_1..x_p, x_1^2..x_p^2, ..., x_1^K..x_p^K].
+    """Rows [1, x_1..x_p, x_1^2..x_p^2, ..., x_1^K..x_p^K] of the raw
+    inputs.
 
     Column order matches PolynomialWeightFunction.flat(), so
-    design @ flat == eval_angle row-wise. The array is column-major:
+    design @ flat is the polynomial row-wise. The array is column-major:
     the trainers' products design @ w and v @ design then read each
     column contiguously, and numpy's SVD gets its input in the layout
-    it copies to anyway.
+    it copies to anyway. The trainers and TrainedModel.predict build
+    the same design, with the inputs min-max scaled inside it.
     """
-    return _power_design(inputs, K, scale=False)[0]
+    return _power_design(inputs, K, None)[0]
 
 
-def _power_design(inputs, K: int, scale: bool):
+def _power_design(inputs, K: int, bounds):
     """(design, lo, hi): build_design_matrix's design, with the inputs
-    min-max scaled onto [-1, 1] first when `scale` is set; lo and hi are
-    then their column minima and maxima, else None. The inputs are
-    copied once, into the first power block, and scaled there."""
+    min-max scaled onto [-1, 1] first unless `bounds` is None. `bounds`
+    "fit" takes lo and hi as the columns' minima and maxima; a stored
+    (lo, hi) pair scales by those. lo and hi are None when unscaled.
+    The inputs are copied once, into the first power block, and scaled
+    there."""
     if K < 1:
         raise ValueError(f"K must be positive, got {K}")
     X = np.asarray(inputs, dtype=float)
@@ -114,8 +114,9 @@ def _power_design(inputs, K: int, scale: bool):
     first = design[:, 1:1 + p]
     first[...] = X
     lo = hi = None
-    if scale:
-        lo, hi = first.min(axis=0), first.max(axis=0)
+    if bounds is not None:
+        # fitted on the column-major block, where each column is contiguous
+        lo, hi = (first.min(axis=0), first.max(axis=0)) if bounds == "fit" else bounds
         _to_unit(first, lo, hi)
     for k in range(2, K + 1):
         np.multiply(design[:, 1 + (k - 2) * p:1 + (k - 1) * p], first,
@@ -177,26 +178,6 @@ def _dct_matrix(n: int) -> np.ndarray:
     c = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * np.arange(n) + 1) * k / (2 * n))
     c[0] /= np.sqrt(2.0)
     return c
-
-
-def _square(arr: np.ndarray, what: str) -> np.ndarray:
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square {what}, got shape {arr.shape}")
-    return arr
-
-
-def dct2(image) -> np.ndarray:
-    """Orthonormal 2-D type-II DCT of a square image, C @ X @ C.T."""
-    img = _square(np.asarray(image, dtype=float), "image")
-    c = _dct_matrix(img.shape[0])
-    return c @ img @ c.T
-
-
-def idct2(coeffs) -> np.ndarray:
-    """Inverse of dct2, C.T @ Y @ C."""
-    arr = _square(np.asarray(coeffs, dtype=float), "coefficient block")
-    c = _dct_matrix(arr.shape[0])
-    return c.T @ arr @ c
 
 
 def dct_features(images, keep: int | None = None) -> np.ndarray:

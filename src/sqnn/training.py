@@ -21,7 +21,7 @@ import numpy as np
 
 from . import circuit, linalg
 from .features import (NormalizationRecord, PolynomialWeightFunction,
-                       _power_design, eval_angle)
+                       _power_design)
 
 __all__ = [
     "GdConfig",
@@ -167,27 +167,32 @@ class TrainedModel:
         if self.kind == "gd-full" and (self.alpha is None or self.gamma is None):
             raise ValueError("five-angle model requires alpha and gamma polynomials")
 
-    def _prepare(self, x) -> np.ndarray:
+    def _design_for(self, x) -> np.ndarray:
+        """The power design of one input vector or an (n, p) batch, scaled
+        by the stored feature bounds."""
         arr = np.asarray(x, dtype=float)
         dim = arr.size if arr.ndim == 1 else (arr.shape[1] if arr.ndim == 2 else None)
         if dim != self.p:
             raise ValueError(f"input has dimension {dim}, model expects {self.p}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("input holds non-finite values")
-        if self.normalization is not None:
-            arr = self.normalization.apply_features(arr)
-        return arr
+        record = self.normalization
+        bounds = (None if record is None or record.feature_min is None
+                  else (record.feature_min, record.feature_max))
+        return _power_design(arr, self.K, bounds)[0]
 
     def predict(self, x):
         """Model output in [-1, 1] for one input vector or an (n, p) batch."""
-        u = self._prepare(x)
+        design = self._design_for(x)
         if self.kind == "lls":
-            return np.tanh(eval_angle(self.beta, u))
-        if self.kind == "gd-reduced":
-            return np.cos(eval_angle(self.beta, u))
-        return circuit.expectation_batch(
-            eval_angle(self.alpha, u), eval_angle(self.beta, u),
-            eval_angle(self.gamma, u), self.theta, self.omega)
+            out = np.tanh(design @ self.beta.flat())
+        elif self.kind == "gd-reduced":
+            out = np.cos(design @ self.beta.flat())
+        else:
+            out = circuit.expectation_batch(
+                design @ self.alpha.flat(), design @ self.beta.flat(),
+                design @ self.gamma.flat(), self.theta, self.omega)
+        return float(out[0]) if np.ndim(x) == 1 else out
 
     def predict_class(self, x):
         """Sign of the prediction in {-1, +1}; an exact 0 maps to +1."""
@@ -202,7 +207,7 @@ def _design(data, K: int, normalize: bool):
     targets were rescaled at load time, the original target range for
     recalibration (None when it has neither). The inputs are scaled
     inside the design, so no scaled copy of them is made."""
-    design, lo, hi = _power_design(data.inputs, K, scale=normalize)
+    design, lo, hi = _power_design(data.inputs, K, "fit" if normalize else None)
     target_range = getattr(data, "target_range", None)
     record = NormalizationRecord(lo, hi, *(target_range or (None, None)))
     return design, record if normalize or target_range is not None else None

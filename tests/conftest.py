@@ -38,18 +38,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def data_dir() -> Path:
     """Directory holding the real datasets.
 
-    Honors SQNN_DATA_DIR, defaulting to <repo>/data. The breast-cancer
-    table is materialized from scikit-learn's bundled copy when the file
-    is absent, since it is the same UCI data; the other datasets must
-    have been fetched beforehand and tests requiring them skip otherwise.
+    Honors SQNN_DATA_DIR, defaulting to <repo>/data, where the
+    breast-cancer table is committed; the other datasets must have been
+    fetched beforehand and tests requiring them skip otherwise.
     """
-    directory = Path(os.environ.get(experiments.DATA_DIR_ENV,
-                                    Path(__file__).resolve().parent.parent / "data"))
-    directory.mkdir(parents=True, exist_ok=True)
-    wdbc = directory / "wdbc.data"
-    if not wdbc.exists():
-        experiments.materialize_wdbc(wdbc)
-    return directory
+    return Path(os.environ.get(experiments.DATA_DIR_ENV,
+                               Path(__file__).resolve().parent.parent / "data"))
 
 
 def require_dataset(name: str, directory: Path):

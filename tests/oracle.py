@@ -14,6 +14,15 @@ column min and max in a NormalizationRecord, a row-major design stacked
 from the scaled inputs' power blocks, the gradient
 (res * -sin(beta)) @ design and the MSE residual 2 (yhat - y) / n, in
 the trainer's loop order.
+
+`poly_angle` evaluates a polynomial angle function by a power loop, one
+dot product per power, and `reference_predict` applies a trained model
+through it and the 2x2 matrix path: the references for
+TrainedModel.predict, which builds the design instead.
+
+`dct2` and `idct2` are the orthonormal 2-D type-II DCT of one square
+image and its inverse, C @ X @ C.T and C.T @ Y @ C, the reference for
+sqnn.features.dct_features.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sqnn.circuit import expectation_batch, gradient_batch
-from sqnn.features import NormalizationRecord
+from sqnn.features import NormalizationRecord, _dct_matrix
 
 
 def _require_finite(**angles: float) -> None:
@@ -234,3 +243,56 @@ def reference_gd_reduced(data, config) -> tuple[np.ndarray, list[float]]:
         loss, res = loss_and_residual(np.cos(beta))
         history.append(loss)
     return w, history or [loss]
+
+
+def poly_angle(f, x):
+    """c0 + sum_k (x^k) @ c[k-1] for one input or an (n, p) batch."""
+    rows = np.asarray(x, dtype=float)
+    single = rows.ndim == 1
+    rows = np.atleast_2d(rows)
+    total = np.full(rows.shape[0], f.c0)
+    powers = rows.copy()
+    for k in range(f.K):
+        if k > 0:
+            powers = powers * rows
+        total = total + powers @ f.c[k]
+    return float(total[0]) if single else total
+
+
+def reference_predict(model, inputs) -> tuple[np.ndarray, float]:
+    """(predictions, largest |angle|) of a TrainedModel on an (n, p)
+    batch: the inputs scaled by apply_features, every polynomial through
+    poly_angle, the five-angle output row by row through
+    expectation_matrix."""
+    X = np.asarray(inputs, dtype=float)
+    if model.normalization is not None:
+        X = model.normalization.apply_features(X)
+    beta = poly_angle(model.beta, X)
+    if model.kind == "lls":
+        return np.tanh(beta), float(np.max(np.abs(beta)))
+    if model.kind == "gd-reduced":
+        return np.cos(beta), float(np.max(np.abs(beta)))
+    alpha, gamma = poly_angle(model.alpha, X), poly_angle(model.gamma, X)
+    preds = np.array([expectation_matrix(AngleSet(a, b, g, model.theta, model.omega))
+                      for a, b, g in zip(alpha, beta, gamma)])
+    return preds, float(np.max(np.abs([alpha, beta, gamma])))
+
+
+def _square(arr: np.ndarray, what: str) -> np.ndarray:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square {what}, got shape {arr.shape}")
+    return arr
+
+
+def dct2(image) -> np.ndarray:
+    """Orthonormal 2-D type-II DCT of a square image, C @ X @ C.T."""
+    img = _square(np.asarray(image, dtype=float), "image")
+    c = _dct_matrix(img.shape[0])
+    return c @ img @ c.T
+
+
+def idct2(coeffs) -> np.ndarray:
+    """Inverse of dct2, C.T @ Y @ C."""
+    arr = _square(np.asarray(coeffs, dtype=float), "coefficient block")
+    c = _dct_matrix(arr.shape[0])
+    return c.T @ arr @ c

@@ -9,6 +9,10 @@ from click.testing import CliRunner
 
 from sqnn import model_io
 from sqnn.cli import main
+from sqnn.datasets import load_csv
+from sqnn.training import arctanh_labels
+
+from oracle import hstack_design
 
 
 @pytest.fixture
@@ -71,6 +75,25 @@ class TestTrainEval:
         assert reported <= 5e-3
         doc = json.loads(model.read_text())
         assert doc["kind"] == "gd-full"
+
+    def test_lls_prints_the_saved_models_residual_and_training_mse(self, runner, tmp_path):
+        data = tmp_path / "moons.csv"
+        model_path = tmp_path / "m.json"
+        invoke(runner, "gen", "two-moons", "--n", 80, "--noise", 0.2, "--seed", 3,
+               "--out", data)
+        result = invoke(runner, "train", "--data", data, "--method", "lls", "--K", 3,
+                        "--out", model_path)
+        printed = result.output.split("residual (arctanh space) =")[1].split(",")
+        residual = float(printed[0])
+        mse = float(printed[1].split("training mse =")[1].split()[0])
+        model = model_io.load(model_path)
+        ds = load_csv(data)
+        angle = (hstack_design(model.normalization.apply_features(ds.inputs), 3)
+                 @ model.beta.flat())
+        rhs = arctanh_labels(ds.targets, model.config["epsilon"])
+        # printed with 6 significant digits
+        assert residual == pytest.approx(np.mean((angle - rhs) ** 2), rel=1e-5)
+        assert mse == pytest.approx(np.mean((np.tanh(angle) - ds.targets) ** 2), rel=1e-5)
 
     def test_invalid_k_is_usage_error(self, runner, tmp_path):
         data = tmp_path / "and.csv"
@@ -286,16 +309,6 @@ class TestReproduce:
         result = invoke(runner, "recipes")
         names = result.output.split()
         assert "table1" in names and "fig5-sinc" in names
-
-
-class TestFetch:
-    def test_wdbc_materialized_offline(self, runner, tmp_path):
-        pytest.importorskip("sklearn")
-        result = invoke(runner, "fetch", "wdbc", "--data-dir", tmp_path)
-        assert "scikit-learn" in result.output
-        lines = (tmp_path / "wdbc.data").read_text().strip().splitlines()
-        assert len(lines) == 569
-        assert lines[0].split(",")[1] in ("M", "B")
 
 
 class TestDivergence:

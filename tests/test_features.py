@@ -14,10 +14,9 @@ from hypothesis.extra.numpy import arrays
 import sqnn
 from sqnn.datasets import load_csv
 from sqnn.features import (NormalizationRecord, PolynomialWeightFunction,
-                           build_design_matrix, dct2, dct_features,
-                           eval_angle, idct2)
+                           build_design_matrix, dct_features, eval_angle)
 
-from oracle import fit_feature_scaling, hstack_design
+from oracle import dct2, fit_feature_scaling, hstack_design, idct2, poly_angle
 
 
 def horner_eval(f, x):
@@ -140,8 +139,11 @@ class TestDesignMatrix:
         f = PolynomialWeightFunction(K=4, p=3, c0=rng.normal(),
                                      c=rng.normal(size=(4, 3)))
         X = rng.uniform(-1.5, 1.5, (20, 3))
+        # eval_angle is design @ flat itself, so the power loop is the check
         np.testing.assert_allclose(build_design_matrix(X, K=4) @ f.flat(),
-                                   eval_angle(f, X), atol=1e-12)
+                                   poly_angle(f, X), atol=1e-12)
+        np.testing.assert_array_equal(eval_angle(f, X),
+                                      build_design_matrix(X, K=4) @ f.flat())
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
                            mse_loss)
 
 from oracle import (AngleSet, expectation_closed_form, fit_feature_scaling,
-                    hstack_design, reference_gd_reduced)
+                    hstack_design, poly_angle, reference_gd_reduced,
+                    reference_predict)
 
 
 def replica_init(config: GdConfig, n_params: int) -> np.ndarray:
@@ -362,7 +363,7 @@ class TestPredictionPaths:
         for x in rng.uniform(-1, 1, (50, 3)):
             scaled = model.normalization.apply_features(x)
             assert model.predict(x) == pytest.approx(
-                math.cos(eval_angle(model.beta, scaled)), abs=1e-12)
+                math.cos(poly_angle(model.beta, scaled)), abs=1e-12)
 
     def test_full_predict_matches_closed_form(self):
         rng = np.random.default_rng(9)
@@ -371,12 +372,44 @@ class TestPredictionPaths:
                             model_shape="full")
         for x in rng.uniform(-1, 1, (50, 2)):
             scaled = model.normalization.apply_features(x)
-            angles = AngleSet(alpha=eval_angle(model.alpha, scaled),
-                              beta=eval_angle(model.beta, scaled),
-                              gamma=eval_angle(model.gamma, scaled),
+            angles = AngleSet(alpha=poly_angle(model.alpha, scaled),
+                              beta=poly_angle(model.beta, scaled),
+                              gamma=poly_angle(model.gamma, scaled),
                               theta=model.theta, omega=model.omega)
             assert model.predict(x) == pytest.approx(
                 expectation_closed_form(angles), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["scaled", "unscaled-with-target-range",
+                                      "constant-column"])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["lls", "gd-reduced", "gd-full"])
+    def test_predict_matches_power_loop_reference(self, kind, K, case):
+        # predict takes design @ flat; the reference sums one dot product
+        # per power, so the two agree to rounding: 1e-12 of the largest
+        # |angle|, and at least 1e-12
+        rng = np.random.default_rng(K)
+        X = rng.uniform(-2.0, 3.0, (40, 3))
+        if case == "constant-column":
+            X[:, 1] = 2.5
+        data = Dataset(inputs=X, targets=rng.uniform(-0.9, 0.9, 40),
+                       target_range=(420.0, 500.0) if case.startswith("unscaled") else None)
+        normalize = not case.startswith("unscaled")
+        if kind == "lls":
+            model = lls_train(data, LlsConfig(K=K, normalize=normalize))
+        else:
+            model, _ = gd_train(data, GdConfig(K=K, max_epochs=3, normalize=normalize),
+                                model_shape=kind.removeprefix("gd-"))
+        if not normalize:
+            assert model.normalization.feature_min is None
+        batch = rng.uniform(-3.0, 4.0, (30, 3))
+        expected, largest_angle = reference_predict(model, batch)
+        tol = 1e-12 * max(1.0, largest_angle)
+        preds = model.predict(batch)
+        np.testing.assert_allclose(preds, expected, rtol=0, atol=tol)
+        for row, value in zip(batch[:5], preds[:5]):
+            single = model.predict(row)
+            assert isinstance(single, float)
+            assert single == pytest.approx(value, rel=0, abs=tol)
 
     def test_predictions_stay_bounded(self):
         rng = np.random.default_rng(10)
@@ -486,7 +519,7 @@ class TestLlsTrain:
         for x in rng.uniform(-1, 1, (20, 2)):
             scaled = model.normalization.apply_features(x)
             assert model.predict(x) == pytest.approx(
-                math.cos(math.acos(np.tanh(eval_angle(model.beta, scaled)))), abs=1e-12)
+                math.cos(math.acos(np.tanh(poly_angle(model.beta, scaled)))), abs=1e-12)
 
     def test_empty_dataset_rejected(self):
         bad = SimpleNamespace(inputs=np.empty((0, 1)), targets=np.empty(0), n=0, p=1)
