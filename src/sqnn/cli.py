@@ -9,11 +9,11 @@ recipes defaults to ./data and can be set with SQNN_DATA_DIR or
 from __future__ import annotations
 
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import datasets, experiments, features, metrics, model_io, training
 
@@ -32,9 +32,10 @@ def _parse_label_map(text: str | None):
     mapping = {}
     for item in text.split(","):
         key, sep, value = item.partition(":")
-        if not sep:
-            raise click.UsageError(f"bad label-map entry {item!r}, expected NAME:VALUE")
-        mapping[key.strip()] = float(value)
+        try:
+            mapping[key.strip()] = float(value if sep else "")
+        except ValueError:
+            raise click.UsageError(f"bad label-map entry {item!r}, expected NAME:NUMBER") from None
     return mapping
 
 
@@ -139,17 +140,18 @@ def cmd_gen(dataset_name, n, noise, n_train, n_val, n_test, noise_sigma, seed, o
         _fail(EXIT_IO, f"cannot write: {exc}")
 
 
-# --method value -> (trainer, model_shape)
-_METHODS = {"lls": ("lls", ""), "gd": ("gd", "full"), "gd-full": ("gd", "full"),
-            "gd-reduced": ("gd", "reduced")}
+# --method value -> gd model shape; None is the least-squares trainer
+_METHOD_SHAPES = {"lls": None, "gd": "full", "gd-full": "full", "gd-reduced": "reduced"}
 
 
 def _trainer_options(command):
-    """The trainer options `train` and `crossval` share; their defaults
-    are the config classes' defaults."""
+    """The trainer options `train` and `crossval` share. Each binds to
+    the config field of its name; the defaults shown are the config
+    classes' defaults."""
     gd = training.GdConfig
     options = [
         click.option("--method", default="lls", show_default=True,
+                     type=click.Choice(list(_METHOD_SHAPES), case_sensitive=False),
                      help="lls, gd (five-angle network), gd-full or gd-reduced."),
         click.option("--K", "K", default=training.LlsConfig.K, show_default=True,
                      type=click.IntRange(min=1), help="Polynomial degree / neuron count."),
@@ -163,25 +165,26 @@ def _trainer_options(command):
                      type=click.FloatRange(min=0)),
         click.option("--loss", default=gd.loss, show_default=True,
                      type=click.Choice(["mse", "hinge"])),
-        click.option("--no-normalize", is_flag=True, help="Skip input min-max scaling."),
+        click.option("--no-normalize", "normalize", flag_value=False, default=True,
+                     help="Skip input min-max scaling."),
     ]
     for option in reversed(options):
         command = option(command)
     return command
 
 
-def _trainer_config(method: str, no_normalize: bool, **settings):
+def _trainer_config(method: str, **settings):
     """(trainer, model_shape, config) for a --method value and the
-    trainer options; each config class takes the settings it has."""
-    if method.lower() not in _METHODS:
-        raise click.UsageError(f"unknown method {method!r}; "
-                               "expected lls, gd, gd-full or gd-reduced")
-    trainer, shape = _METHODS[method.lower()]
-    cls = training.LlsConfig if trainer == "lls" else training.GdConfig
-    names = {f.name for f in fields(cls)}
-    config = cls(normalize=not no_normalize,
-                 **{k: v for k, v in settings.items() if k in names})
-    return trainer, shape, config
+    trainer options given on the command line; the config class supplies
+    the rest. An option the method does not take is a usage error."""
+    ctx = click.get_current_context()
+    given = {name: value for name, value in settings.items()
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
+    try:
+        config, shape = training.trainer_config({**given, "shape": _METHOD_SHAPES[method]})
+    except ValueError as exc:
+        raise click.UsageError(f"--method {method}: {exc}") from None
+    return ("lls" if shape is None else "gd"), shape, config
 
 
 @main.command("train")
@@ -202,9 +205,11 @@ def _trainer_config(method: str, no_normalize: bool, **settings):
 def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets, header,
               model_path, loss_curve, **settings):
     """Fit a model on a CSV dataset and save it."""
+    trainer, shape, config = _trainer_config(**settings)
+    if loss_curve and trainer == "lls":
+        raise click.UsageError("--loss-curve needs a gd method; lls has no epochs")
     data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols,
                          header)
-    trainer, shape, config = _trainer_config(**settings)
     if trainer == "lls":
         model = training.lls_train(data, config)
         angle = model._design_for(data.inputs) @ model.beta.flat()
@@ -267,6 +272,8 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
         _fail(EXIT_IO, f"cannot read model: {exc}")
     except (model_io.UnsupportedFormat, model_io.ModelFormatError) as exc:
         _fail(EXIT_IO, f"bad model file: {exc}")
+    if boundary and model.p != 2:
+        raise click.UsageError("--boundary requires a 2-feature model")
     data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols,
                          header)
     if data.p != model.p:
@@ -287,8 +294,6 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
         _fail(EXIT_FAILURE, str(exc))
     _echo_metrics(("metric", "value"), rows, fmt)
     if boundary:
-        if model.p != 2:
-            raise click.UsageError("--boundary requires a 2-feature model")
         lo = data.inputs.min(axis=0)
         hi = data.inputs.max(axis=0)
         gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], resolution),
@@ -318,14 +323,15 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
 def cmd_crossval(data_path, target_column, label_map, drop_cols, no_scale_targets, header,
                  task, k_folds, seed, fmt, **settings):
     """k-fold cross-validation; prints mean and std per metric."""
+    gd_seed = {"seed": seed} if _METHOD_SHAPES[settings["method"]] else {}
+    trainer, shape, config = _trainer_config(**settings, **gd_seed)
     data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols,
                          header)
-    trainer, shape, config = _trainer_config(seed=seed, **settings)
     if k_folds > data.n:
         raise click.UsageError(f"--k {k_folds} exceeds the dataset size n={data.n}")
     try:
         summary = metrics.crossval(data, trainer=trainer, config=config,
-                                   model_shape=shape or "reduced", task=task,
+                                   model_shape=shape, task=task,
                                    k=k_folds, seed=seed)
     except (training.TrainingDiverged, ValueError) as exc:
         _fail(EXIT_FAILURE, str(exc))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -139,21 +139,6 @@ def load_recipe(name: str) -> dict:
     return recipe
 
 
-def _config(trainer: dict, **overrides):
-    """(config, shape) for a recipe's trainer settings plus `overrides`.
-    A `shape` key selects GdConfig with that model shape; without one the
-    config is an LlsConfig and the shape None. A key that names no
-    setting raises ValueError."""
-    settings = {**trainer, **overrides}
-    shape = settings.pop("shape", None)
-    cls = training.LlsConfig if shape is None else training.GdConfig
-    unknown = sorted(set(settings) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"recipe trainer has unknown {cls.__name__} "
-                         f"setting(s): {', '.join(unknown)}")
-    return cls(**settings), shape
-
-
 def _check(values: dict[str, float], spec: dict) -> AssertionResult:
     key = spec["value"]
     value = values[key]
@@ -185,7 +170,7 @@ def _score(model, test, result: RecipeResult, key: str) -> metrics.MetricReport:
 # result.values; run_recipe checks the recipe's bounds afterwards.
 
 def _run_logic_gates(recipe: dict, result: RecipeResult, log, data_dir: Path) -> None:
-    config, shape = _config(recipe["trainer"])
+    config, shape = training.trainer_config(recipe["trainer"])
     for gate in recipe["gates"]:
         data = datasets.gen_logic_gate(gate)
         model, history = training.gd_train(data, config, model_shape=shape)
@@ -195,7 +180,7 @@ def _run_logic_gates(recipe: dict, result: RecipeResult, log, data_dir: Path) ->
 
 
 def _run_sinc(recipe: dict, result: RecipeResult, log, data_dir: Path) -> None:
-    config, shape = _config(recipe["trainer"])
+    config, shape = training.trainer_config(recipe["trainer"])
     for variant in recipe["variants"]:
         name = variant["name"]
         train, _val, test = datasets.gen_sinc(**recipe["dataset"],
@@ -218,7 +203,7 @@ def _run_crossval(recipe: dict, result: RecipeResult, log, data_dir: Path) -> No
     data = datasets.load_csv(path, **recipe["loader"])
     log(f"  loaded {data.tag}: n={data.n} p={data.p} (dropped {data.dropped_rows} rows)")
     for K in recipe["K_values"]:
-        config, shape = _config(recipe["trainer"], K=K)
+        config, shape = training.trainer_config({**recipe["trainer"], "K": K})
         fit = {"trainer": "lls"} if shape is None else {"trainer": "gd", "model_shape": shape}
         summary = metrics.crossval(data, config=config, task=task, k=recipe["k"],
                                    seed=recipe["cv_seed"], **fit)
@@ -234,7 +219,7 @@ def _run_moons(recipe: dict, result: RecipeResult, log, data_dir: Path) -> None:
     train = datasets.gen_two_moons(n=gen["n_train"], noise=gen["noise"], seed=gen["seed"])
     test = datasets.gen_two_moons(n=gen["n_test"], noise=gen["noise"], seed=gen["test_seed"])
     for K in recipe["K_values"]:
-        config, _ = _config(recipe["trainer"], K=K)
+        config, _ = training.trainer_config({**recipe["trainer"], "K": K})
         report = _score(training.lls_train(train, config), test, result, f"K{K}")
         log(f"  K={K}: accuracy={report.accuracy:.3f} f1={report.f1:.3f}")
 
@@ -243,7 +228,7 @@ def _run_mnist_pairs(recipe: dict, result: RecipeResult, log, data_dir: Path) ->
     paths = require_files("mnist", data_dir)
     train_images, train_labels = datasets.load_mnist_idx(paths[0], paths[1])
     test_images, test_labels = datasets.load_mnist_idx(paths[2], paths[3])
-    config, _ = _config(recipe["trainer"])
+    config, _ = training.trainer_config(recipe["trainer"])
     for a, b in recipe["pairs"]:
         start = time.monotonic()
         train = datasets.filter_pair(train_images, train_labels, a, b,

@@ -21,11 +21,9 @@ __all__ = [
     "metric_suite",
     "crossval",
     "CLASSIFICATION_METRICS",
-    "REGRESSION_METRICS",
 ]
 
 CLASSIFICATION_METRICS = ("accuracy", "precision", "sensitivity", "specificity", "f1")
-REGRESSION_METRICS = ("train_mse", "test_mse")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ of the squared error in the transformed space.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from .features import (NormalizationRecord, PolynomialWeightFunction,
 __all__ = [
     "GdConfig",
     "LlsConfig",
+    "trainer_config",
     "TrainedModel",
     "TrainingDiverged",
     "InvalidLabel",
@@ -139,6 +140,20 @@ class LlsConfig:
         _check_epsilon(self.epsilon)
         if self.rcond is not None and self.rcond < 0:
             raise ValueError(f"rcond must be non-negative, got {self.rcond}")
+
+
+def trainer_config(settings: dict):
+    """(config, shape) for trainer settings named by config field. A
+    `shape` key selects GdConfig with that model shape; without one the
+    config is an LlsConfig and the shape None. A key that names no field
+    of the chosen class raises ValueError."""
+    settings = dict(settings)
+    shape = settings.pop("shape", None)
+    cls = LlsConfig if shape is None else GdConfig
+    unknown = sorted(set(settings) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} setting(s): {', '.join(unknown)}")
+    return cls(**settings), shape
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CLI behavior: commands, output formats, exit codes."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from sqnn import model_io
 from sqnn.cli import main
 from sqnn.datasets import load_csv
-from sqnn.training import arctanh_labels
+from sqnn.training import GdConfig, LlsConfig, arctanh_labels
 
 from oracle import hstack_design
 
@@ -226,6 +227,94 @@ class TestTrainEval:
         assert len(lines) == 101
         table = np.loadtxt(grid, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 2], model_io.load(model).predict(table[:, :2]))
+
+
+GD_ONLY_OPTIONS = [("--lr", 0.1, "learning_rate"), ("--max-epochs", 7, "max_epochs"),
+                   ("--target-loss", 0.1, "target_loss"), ("--init-scale", 0.5, "init_scale"),
+                   ("--loss", "hinge", "loss")]
+
+
+class TestTrainerOptions:
+    """--method picks the config class; an option that class has no field
+    for is a usage error, and options left out take the class defaults."""
+
+    @pytest.fixture
+    def xor(self, runner, tmp_path):
+        data = tmp_path / "xor.csv"
+        invoke(runner, "gen", "xor", "--out", data)
+        return data
+
+    @pytest.mark.parametrize("method, option, value, field", [
+        *(("lls", *case) for case in GD_ONLY_OPTIONS),
+        ("lls", "--seed", 4, "seed"),
+        *((method, "--rcond", 0.5, "rcond") for method in ("gd", "gd-full", "gd-reduced")),
+    ])
+    def test_train_rejects_an_option_the_method_does_not_take(
+            self, runner, tmp_path, xor, method, option, value, field):
+        model = tmp_path / "m.json"
+        result = invoke(runner, "train", "--data", xor, "--method", method, option, value,
+                        "--out", model, expect=2)
+        assert f"--method {method}: " in result.output
+        assert f"setting(s): {field}" in result.output
+        assert not model.exists()
+
+    @pytest.mark.parametrize("option, value, field", GD_ONLY_OPTIONS)
+    def test_crossval_rejects_a_gd_option_for_lls(self, runner, xor, option, value, field):
+        result = invoke(runner, "crossval", "--data", xor, "--method", "lls", "--k", 2,
+                        option, value, expect=2)
+        assert f"setting(s): {field}" in result.output
+
+    def test_crossval_seed_seeds_the_folds_of_lls(self, runner, tmp_path):
+        data = tmp_path / "moons.csv"
+        invoke(runner, "gen", "two-moons", "--n", 60, "--seed", 2, "--out", data)
+        args = ("crossval", "--data", data, "--method", "lls", "--k", 3, "--format", "csv")
+        seeded = invoke(runner, *args, "--seed", 3).output
+        assert seeded.startswith("metric,mean,std")
+        assert seeded != invoke(runner, *args, "--seed", 4).output
+
+    @pytest.mark.parametrize("method, expected", [
+        ("lls", {"trainer": "lls", **asdict(LlsConfig())}),
+        ("gd", {"trainer": "gd", "shape": "full", **asdict(GdConfig())}),
+        ("gd-full", {"trainer": "gd", "shape": "full", **asdict(GdConfig())}),
+        ("gd-reduced", {"trainer": "gd", "shape": "reduced", **asdict(GdConfig())}),
+    ])
+    def test_no_trainer_options_saves_the_config_defaults(
+            self, runner, tmp_path, xor, method, expected):
+        model = tmp_path / "m.json"
+        invoke(runner, "train", "--data", xor, "--method", method, "--out", model)
+        assert json.loads(model.read_text())["config"] == expected
+
+    def test_unknown_method_is_rejected_before_the_data_is_read(self, runner, tmp_path):
+        result = invoke(runner, "train", "--data", tmp_path / "nope.csv", "--method", "sgd",
+                        "--out", tmp_path / "m.json", expect=2)
+        assert "'sgd' is not one of 'lls', 'gd', 'gd-full', 'gd-reduced'" in result.output
+
+    def test_loss_curve_with_lls_is_rejected_before_the_data_is_read(self, runner, tmp_path):
+        curve, model = tmp_path / "c.csv", tmp_path / "m.json"
+        result = invoke(runner, "train", "--data", tmp_path / "nope.csv", "--method", "lls",
+                        "--loss-curve", curve, "--out", model, expect=2)
+        assert "--loss-curve" in result.output
+        assert not curve.exists() and not model.exists()
+
+    def test_bad_label_map_entry_is_usage_error(self, runner, tmp_path):
+        data = tmp_path / "mb.csv"
+        data.write_text("x,y\n0.1,M\n0.9,B\n0.4,M\n")
+        for label_map, entry in (("M:one,B:-1", "'M:one'"), ("M1,B:-1", "'M1'")):
+            result = invoke(runner, "train", "--data", data, "--label-map", label_map,
+                            "--out", tmp_path / "m.json", expect=2)
+            assert f"bad label-map entry {entry}" in result.output
+        assert not (tmp_path / "m.json").exists()
+
+    def test_boundary_on_a_one_feature_model_prints_no_metrics(self, runner, tmp_path):
+        invoke(runner, "gen", "sinc", "--n-train", 20, "--n-val", 2, "--n-test", 2,
+               "--out", tmp_path / "s.csv")
+        data, model = tmp_path / "s-train.csv", tmp_path / "m.json"
+        invoke(runner, "train", "--data", data, "--out", model)
+        result = invoke(runner, "eval", "--model", model, "--data", data,
+                        "--task", "regression", "--boundary", tmp_path / "g.csv", expect=2)
+        assert "--boundary requires a 2-feature model" in result.output
+        assert "mse" not in result.output
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestTaskMismatch:

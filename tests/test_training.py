@@ -16,7 +16,7 @@ from sqnn.features import PolynomialWeightFunction, build_design_matrix, eval_an
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
                            TrainingDiverged, _cos_and_sin, _design,
                            arctanh_labels, gd_train, hinge_loss, lls_train,
-                           mse_loss)
+                           mse_loss, trainer_config)
 
 from oracle import (AngleSet, expectation_closed_form, fit_feature_scaling,
                     hstack_design, poly_angle, reference_gd_reduced,
@@ -562,3 +562,24 @@ class TestLlsTrain:
             arctanh_labels(np.array([1.0, -1.0]), epsilon=epsilon)
         with pytest.raises(ValueError, match="epsilon"):
             LlsConfig(epsilon=epsilon)
+
+
+class TestTrainerConfig:
+    def test_shape_selects_the_config_class(self):
+        assert trainer_config({}) == (LlsConfig(), None)
+        assert trainer_config({"K": 3, "rcond": 0.1}) == (LlsConfig(K=3, rcond=0.1), None)
+        assert trainer_config({"shape": "full"}) == (GdConfig(), "full")
+        settings = {"shape": "reduced", "learning_rate": 0.2, "seed": 4}
+        assert trainer_config(settings) == (GdConfig(learning_rate=0.2, seed=4), "reduced")
+        assert settings["shape"] == "reduced"  # the caller's dict is left as it was
+
+    @pytest.mark.parametrize("settings, stray", [
+        ({"learning_rate": 0.1}, "learning_rate"),
+        ({"seed": 1, "K": 2}, "seed"),
+        ({"shape": "full", "rcond": 0.5}, "rcond"),
+        ({"shape": "reduced", "epsilon": 1e-3}, "epsilon"),
+        ({"shape": "full", "learning_rte": 0.1}, "learning_rte"),
+    ])
+    def test_a_key_the_class_lacks_is_rejected_by_name(self, settings, stray):
+        with pytest.raises(ValueError, match=stray):
+            trainer_config(settings)
