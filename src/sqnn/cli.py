@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 training/assertion failure, 2 usage error,
-3 missing or unreadable data. The data directory for the real-dataset
-recipes defaults to ./data and can be set with SQNN_DATA_DIR or
---data-dir.
+3 missing or unreadable data, or an output file that cannot be written.
+The data directory for the real-dataset recipes defaults to ./data and
+can be set with SQNN_DATA_DIR or --data-dir.
 """
 
 from __future__ import annotations
@@ -32,8 +32,11 @@ def _parse_label_map(text: str | None):
     mapping = {}
     for item in text.split(","):
         key, sep, value = item.partition(":")
+        key = key.strip()
+        if key in mapping:
+            raise click.UsageError(f"label-map name {key!r} is given more than once")
         try:
-            mapping[key.strip()] = float(value if sep else "")
+            mapping[key] = float(value if sep else "")
         except ValueError:
             raise click.UsageError(f"bad label-map entry {item!r}, expected NAME:NUMBER") from None
     return mapping
@@ -65,12 +68,15 @@ def _model_scale_targets(model, data):
     return record.apply_target(raw)
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def _write_csv(path, header, columns):
+    """Write equal-length columns under a header row, each number as %.17g
+    (it reads back as the same float). savetxt would gzip a path named *.gz."""
+    try:
+        with open(path, "w") as fh:
+            np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                       header=",".join(header), comments="")
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot write {path}: {exc}")
 
 
 data_option = click.option("--data", "data_path", required=True,
@@ -113,31 +119,23 @@ def cmd_gen(dataset_name, n, noise, n_train, n_val, n_test, noise_sigma, seed, o
     """
     name = dataset_name.lower()
     out = Path(out_path) if out_path else Path(f"{name}.csv")
-    try:
-        if name == "sinc":
-            parts = datasets.gen_sinc(n_train=n_train, n_val=n_val, n_test=n_test,
-                                      noise_sigma=noise_sigma, seed=seed)
-            for part, ds in zip(("train", "val", "test"), parts):
-                path = out.with_name(f"{out.stem}-{part}{out.suffix or '.csv'}")
-                _write_rows(path, ["x", "y"],
-                            [(float(x[0]), float(y)) for x, y in zip(ds.inputs, ds.targets)])
-                click.echo(f"wrote {path} ({ds.n} rows)")
-            return
-        if name == "two-moons":
-            ds = datasets.gen_two_moons(n=n, noise=noise, seed=seed)
-        elif name.upper() in datasets.LOGIC_GATES:
-            ds = datasets.gen_logic_gate(name)
-        else:
-            raise click.UsageError(
-                f"unknown dataset {dataset_name!r}; expected 'sinc', 'two-moons' "
-                f"or a gate name {sorted(datasets.LOGIC_GATES)}")
-        header = [f"x{j + 1}" for j in range(ds.p)] + ["y"]
-        _write_rows(out, header,
-                    [tuple(map(float, row)) + (float(y),)
-                     for row, y in zip(ds.inputs, ds.targets)])
-        click.echo(f"wrote {out} ({ds.n} rows)")
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write: {exc}")
+    if name == "sinc":
+        parts = datasets.gen_sinc(n_train=n_train, n_val=n_val, n_test=n_test,
+                                  noise_sigma=noise_sigma, seed=seed)
+        files = [(out.with_name(f"{out.stem}-{part}{out.suffix or '.csv'}"), ds)
+                 for part, ds in zip(("train", "val", "test"), parts)]
+    elif name == "two-moons":
+        files = [(out, datasets.gen_two_moons(n=n, noise=noise, seed=seed))]
+    elif name.upper() in datasets.LOGIC_GATES:
+        files = [(out, datasets.gen_logic_gate(name))]
+    else:
+        raise click.UsageError(
+            f"unknown dataset {dataset_name!r}; expected 'sinc', 'two-moons' "
+            f"or a gate name {sorted(datasets.LOGIC_GATES)}")
+    for path, ds in files:
+        inputs = ["x"] if name == "sinc" else [f"x{j + 1}" for j in range(ds.p)]
+        _write_csv(path, inputs + ["y"], [*ds.inputs.T, ds.targets])
+        click.echo(f"wrote {path} ({ds.n} rows)")
 
 
 # --method value -> gd model shape; None is the least-squares trainer
@@ -224,15 +222,14 @@ def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets, 
             _fail(EXIT_FAILURE, str(exc))
         click.echo(f"gd fit ({shape}): final {config.loss} = {history[-1]:.6g} "
                    f"after {len(history)} epoch(s)")
-        if loss_curve:
-            _write_rows(loss_curve, ["epoch", "loss"],
-                        list(enumerate(map(float, history), start=1)))
-            click.echo(f"wrote {loss_curve}")
     try:
         model_io.save(model, model_path)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write model: {exc}")
     click.echo(f"saved model to {model_path}")
+    if loss_curve:
+        _write_csv(loss_curve, ["epoch", "loss"], [np.arange(1, len(history) + 1), history])
+        click.echo(f"wrote {loss_curve}")
 
 
 def _echo_metrics(columns, rows, fmt):
@@ -299,9 +296,7 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
         gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], resolution),
                              np.linspace(lo[1], hi[1], resolution))
         points = np.column_stack([gx.ravel(), gy.ravel()])  # x1 varies fastest
-        preds = model.predict(points)
-        _write_rows(boundary, ["x1", "x2", "prediction"],
-                    [(x1, x2, pv) for (x1, x2), pv in zip(points.tolist(), preds.tolist())])
+        _write_csv(boundary, ["x1", "x2", "prediction"], [*points.T, model.predict(points)])
         click.echo(f"wrote {boundary}")
 
 
@@ -359,7 +354,7 @@ def cmd_reproduce(recipe_name, data_dir, pair, dct_keep):
     if pair and pair[0] == pair[1]:
         raise click.UsageError("--pair needs two distinct digits")
     try:
-        experiments.load_recipe(recipe_name)
+        experiments._override(experiments.load_recipe(recipe_name), pair or None, dct_keep)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     # what fails once the recipe runs is its data: absent or malformed

@@ -230,19 +230,31 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
                    dropped_rows=dropped_rows)
 
 
-def _open_maybe_gzip(path):
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-# IDX layout (big-endian):
-#   images: int32 magic 0x00000803, int32 count, int32 rows, int32 cols,
-#           then count*rows*cols unsigned bytes
-#   labels: int32 magic 0x00000801, int32 count, then count unsigned bytes
+# IDX magics: images are (count, rows, cols) bytes, labels (count,) bytes
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+
+def _read_idx(path, magic: int, what: str) -> np.ndarray:
+    """One IDX file, gzipped or not, as a read-only uint8 array. The file
+    holds a big-endian uint32 magic, whose low byte is the dimension count,
+    one big-endian uint32 size per dimension, then the bytes; `what` names
+    them in the truncation error."""
+    head_size = 4 * (1 + (magic & 0xFF))
+    with open(path, "rb") as probe:
+        gzipped = probe.read(2) == b"\x1f\x8b"
+    with (gzip.open if gzipped else open)(path, "rb") as fh:
+        head = fh.read(head_size)
+        if len(head) < head_size:
+            raise ValueError(f"{path}: truncated IDX header")
+        found, *shape = struct.unpack(f">{head_size // 4}I", head)
+        if found != magic:
+            raise ValueError(f"{path}: bad magic {found:#010x}, expected {magic:#010x}")
+        size = math.prod(shape)
+        raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"{path}: truncated {what} data ({len(raw)} of {size} bytes)")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
 def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
@@ -252,34 +264,10 @@ def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     array of shape (n, rows, cols), and the integer labels. filter_pair scales the
     pixels of the rows it selects to [0, 1]. Accepts gzipped files.
     """
-    with _open_maybe_gzip(images_path) as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise ValueError(f"{images_path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", head)
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"{images_path}: bad magic {magic:#010x}, "
-                             f"expected {IDX_IMAGES_MAGIC:#010x}")
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise ValueError(f"{images_path}: truncated pixel data "
-                             f"({len(raw)} of {count * rows * cols} bytes)")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-
-    with _open_maybe_gzip(labels_path) as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise ValueError(f"{labels_path}: truncated IDX header")
-        magic, lcount = struct.unpack(">II", head)
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"{labels_path}: bad magic {magic:#010x}, "
-                             f"expected {IDX_LABELS_MAGIC:#010x}")
-        raw = fh.read(lcount)
-        if len(raw) != lcount:
-            raise ValueError(f"{labels_path}: truncated label data")
-    labels = np.frombuffer(raw, dtype=np.uint8)
-    if lcount != count:
-        raise ValueError(f"label count {lcount} does not match image count {count}")
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "pixel")
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label")
+    if len(labels) != len(images):
+        raise ValueError(f"label count {len(labels)} does not match image count {len(images)}")
     return images, labels
 
 

@@ -76,19 +76,17 @@ def hinge_loss(predictions, targets) -> float:
 
 
 def _loss_and_residual(kind: str, yhat: np.ndarray, y: np.ndarray):
-    """Loss value and d(loss)/d(yhat) for the batch. The MSE residual
-    is formed in place on yhat."""
+    """Loss value and d(loss)/d(yhat) for `kind` "mse" or "hinge" (GdConfig
+    rejects any other). The MSE residual is formed in place on yhat."""
     n = y.size
     if kind == "mse":
         diff = np.subtract(yhat, y, out=yhat)
         loss = float(diff @ diff) / n
         diff *= 2.0 / n
         return loss, diff
-    if kind == "hinge":
-        margin = 1.0 - yhat * y
-        active = margin > 0
-        return float(np.mean(np.maximum(0.0, margin))), np.where(active, -y, 0.0) / n
-    raise ValueError(f"unknown loss {kind!r}, expected 'mse' or 'hinge'")
+    margin = 1.0 - yhat * y
+    active = margin > 0
+    return float(np.mean(np.maximum(0.0, margin))), np.where(active, -y, 0.0) / n
 
 
 @dataclass(frozen=True)
@@ -115,6 +113,13 @@ class GdConfig:
             raise ValueError(f"init_scale must be non-negative, got {self.init_scale}")
         if self.K < 1:
             raise ValueError(f"K must be positive, got {self.K}")
+        if self.loss not in ("mse", "hinge"):
+            raise ValueError(f"loss must be 'mse' or 'hinge', got {self.loss!r}")
+
+
+def _check_shape(shape: str) -> None:
+    if shape not in _GD_SHAPES:
+        raise ValueError(f"model_shape must be 'reduced' or 'full', got {shape!r}")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -146,9 +151,11 @@ def trainer_config(settings: dict):
     """(config, shape) for trainer settings named by config field. A
     `shape` key selects GdConfig with that model shape; without one the
     config is an LlsConfig and the shape None. A key that names no field
-    of the chosen class raises ValueError."""
+    of the chosen class, or an unknown shape, raises ValueError."""
     settings = dict(settings)
     shape = settings.pop("shape", None)
+    if shape is not None:
+        _check_shape(shape)
     cls = LlsConfig if shape is None else GdConfig
     unknown = sorted(set(settings) - {f.name for f in fields(cls)})
     if unknown:
@@ -296,8 +303,7 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     it reaches `target_loss` or after `max_epochs` updates, and aborts if
     the loss leaves the finite range.
     """
-    if model_shape not in _GD_SHAPES:
-        raise ValueError(f"model_shape must be 'reduced' or 'full', got {model_shape!r}")
+    _check_shape(model_shape)
     if data.n < 1:
         raise ValueError("dataset is empty")
     n_params, value_and_grad, model_fields = _GD_SHAPES[model_shape]

@@ -14,6 +14,7 @@ from sqnn.datasets import load_csv
 from sqnn.training import GdConfig, LlsConfig, arctanh_labels
 
 from oracle import hstack_design
+from test_experiments import write_synthetic_mnist
 
 
 @pytest.fixture
@@ -34,9 +35,7 @@ class TestGen:
     def test_gate_csv(self, runner, tmp_path):
         out = tmp_path / "xor.csv"
         invoke(runner, "gen", "xor", "--out", out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "x1,x2,y"
-        assert len(lines) == 5
+        assert out.read_bytes() == b"x1,x2,y\n-1,-1,-1\n-1,1,1\n1,-1,1\n1,1,-1\n"
 
     def test_two_moons_row_count(self, runner, tmp_path):
         out = tmp_path / "m.csv"
@@ -213,6 +212,16 @@ class TestTrainEval:
         assert lines[0] == "epoch,loss"
         assert len(lines) > 2
 
+    def test_gz_named_loss_curve_is_plain_text(self, runner, tmp_path):
+        data = tmp_path / "xor.csv"
+        invoke(runner, "gen", "xor", "--out", data)
+        curve = tmp_path / "curve.csv.gz"
+        invoke(runner, "train", "--data", data, "--method", "gd-reduced", "--max-epochs", 3,
+               "--out", tmp_path / "m.json", "--loss-curve", curve)
+        assert curve.read_text().splitlines()[0] == "epoch,loss"
+        assert [int(line.split(",")[0]) for line in curve.read_text().splitlines()[1:]] \
+            == [1, 2, 3]
+
     def test_boundary_grid(self, runner, tmp_path):
         data = tmp_path / "moons.csv"
         model = tmp_path / "m.json"
@@ -296,6 +305,14 @@ class TestTrainerOptions:
         assert "--loss-curve" in result.output
         assert not curve.exists() and not model.exists()
 
+    def test_repeated_label_map_name_is_usage_error(self, runner, tmp_path):
+        data = tmp_path / "mb.csv"
+        data.write_text("x,y\n0.1,M\n0.9,B\n0.4,M\n0.7,B\n")
+        result = invoke(runner, "train", "--data", data, "--label-map", "M:1,B:-1, M:-1",
+                        "--out", tmp_path / "m.json", expect=2)
+        assert "label-map name 'M' is given more than once" in result.output
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_label_map_entry_is_usage_error(self, runner, tmp_path):
         data = tmp_path / "mb.csv"
         data.write_text("x,y\n0.1,M\n0.9,B\n0.4,M\n")
@@ -354,10 +371,22 @@ class TestReproduce:
         assert "[PASS]" in result.output
         assert "all 2 assertion(s) passed" in result.output
 
-    def test_run_that_checked_no_bound_fails(self, runner):
-        # --pair keeps only bounds of that pair; table4-moons has none
-        result = invoke(runner, "reproduce", "table4-moons", "--pair", 1, 2, expect=1)
-        assert "recipe table4-moons checked no bound" in result.output
+    def test_run_that_checked_no_bound_fails(self, runner, tmp_path):
+        # --pair keeps only bounds of that pair; the recipe's are named 0v1, not 1v0
+        write_synthetic_mnist(tmp_path)
+        result = invoke(runner, "reproduce", "table6-mnist", "--pair", 1, 0,
+                        "--data-dir", tmp_path, expect=1)
+        assert "1v0.accuracy" in result.output
+        assert "recipe table6-mnist checked no bound" in result.output
+
+    @pytest.mark.parametrize("recipe, option, key", [
+        ("table1", ("--pair", 0, 1), "pairs"), ("table4-moons", ("--dct-keep", 5), "dct_block"),
+        ("table5-wbcd", ("--pair", 0, 1, "--dct-keep", 5), "pairs or dct_block")])
+    def test_pair_or_dct_keep_on_a_recipe_without_them_is_usage_error(
+            self, runner, recipe, option, key):
+        result = invoke(runner, "reproduce", recipe, *option, expect=2)
+        assert f"recipe {recipe!r} has no {key} to override" in result.output
+        assert f"recipe {recipe} (" not in result.output  # nothing ran
 
     def test_missing_data_exits_3_with_instructions(self, runner, tmp_path):
         result = invoke(runner, "reproduce", "table6-mnist",
@@ -444,3 +473,48 @@ class TestModelFileErrors:
         model.write_text(json.dumps(doc))
         result = invoke(runner, "eval", "--model", model, "--data", data, expect=3)
         assert "bad model file" in result.output and "feature_max" in result.output
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 3 with `cannot write`
+    and no traceback."""
+
+    @pytest.fixture
+    def moons(self, runner, tmp_path):
+        data = tmp_path / "moons.csv"
+        invoke(runner, "gen", "two-moons", "--n", 40, "--out", data)
+        return data
+
+    @staticmethod
+    def check(result):
+        assert "error: cannot write" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("name", ["xor", "two-moons", "sinc"])
+    def test_gen_out(self, runner, tmp_path, name):
+        out = tmp_path / "missing" / "d.csv"
+        result = invoke(runner, "gen", name, "--out", out, expect=3)
+        self.check(result)
+        assert f"cannot write {out.parent / 'd'}" in result.output  # d.csv or d-train.csv
+
+    def test_train_out(self, runner, tmp_path, moons):
+        self.check(invoke(runner, "train", "--data", moons,
+                          "--out", tmp_path / "missing" / "m.json", expect=3))
+
+    def test_train_loss_curve_keeps_the_saved_model(self, runner, tmp_path, moons):
+        model, curve = tmp_path / "m.json", tmp_path / "missing" / "c.csv"
+        result = invoke(runner, "train", "--data", moons, "--method", "gd-reduced",
+                        "--max-epochs", 3, "--out", model, "--loss-curve", curve, expect=3)
+        self.check(result)
+        assert f"cannot write {curve}" in result.output
+        assert model_io.load(model).kind == "gd-reduced"
+
+    def test_eval_boundary(self, runner, tmp_path, moons):
+        model, grid = tmp_path / "m.json", tmp_path / "missing" / "g.csv"
+        invoke(runner, "train", "--data", moons, "--out", model)
+        result = invoke(runner, "eval", "--model", model, "--data", moons,
+                        "--boundary", grid, expect=3)
+        self.check(result)
+        assert f"cannot write {grid}" in result.output
+        assert "accuracy" in result.output

@@ -282,6 +282,26 @@ class TestLoadMnistIdx:
         with pytest.raises(ValueError, match="magic"):
             load_mnist_idx(img_path, lab_path)
 
+    def test_labels_bad_magic(self, tmp_path):
+        raw = np.zeros((1, 2, 2), dtype=np.uint8)
+        img_path, lab_path = write_idx_pair(tmp_path, raw, [0], label_magic=0x803)
+        with pytest.raises(ValueError, match=f"{lab_path}: bad magic 0x00000803, "
+                                             "expected 0x00000801"):
+            load_mnist_idx(img_path, lab_path)
+
+    def test_labels_truncated_header(self, tmp_path):
+        raw = np.zeros((1, 2, 2), dtype=np.uint8)
+        img_path, lab_path = write_idx_pair(tmp_path, raw, [0])
+        lab_path.write_bytes(lab_path.read_bytes()[:5])
+        with pytest.raises(ValueError, match=f"{lab_path}: truncated IDX header"):
+            load_mnist_idx(img_path, lab_path)
+
+    def test_result_is_read_only(self, tmp_path):
+        raw = np.ones((2, 3, 3), dtype=np.uint8)
+        images, labels = load_mnist_idx(*write_idx_pair(tmp_path, raw, [4, 2]))
+        assert not images.flags.writeable and not labels.flags.writeable
+        assert labels.dtype == np.uint8 and labels.shape == (2,)
+
     def test_count_mismatch(self, tmp_path):
         raw = np.zeros((2, 2, 2), dtype=np.uint8)
         img_path, lab_path = write_idx_pair(tmp_path, raw, [0, 1], label_count=3)

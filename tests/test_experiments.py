@@ -226,6 +226,19 @@ def test_pair_and_dct_keep_leave_the_loaded_recipe_unchanged(monkeypatch, tmp_pa
     assert recipe == before
 
 
+@pytest.mark.parametrize("name, overrides, key", [
+    ("table1", {"pair": (0, 1)}, "pairs"),
+    ("table4-moons", {"dct_keep": 5}, "dct_block"),
+    ("table4-moons", {"pair": (1, 2), "dct_keep": 5}, "pairs or dct_block"),
+])
+def test_pair_or_dct_keep_without_the_recipe_field_is_rejected_before_the_run(
+        name, overrides, key):
+    lines = []
+    with pytest.raises(ValueError, match=f"recipe {name!r} has no {key} to override"):
+        run_recipe(name, log=lines.append, **overrides)
+    assert lines == []
+
+
 def test_report_lines_shape():
     result = run_recipe("table4-moons")
     lines = result.report_lines()

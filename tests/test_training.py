@@ -583,3 +583,13 @@ class TestTrainerConfig:
     def test_a_key_the_class_lacks_is_rejected_by_name(self, settings, stray):
         with pytest.raises(ValueError, match=stray):
             trainer_config(settings)
+
+    def test_unknown_shape_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="'reduced' or 'full', got 'bogus'"):
+            trainer_config({"shape": "bogus"})
+
+    def test_unknown_loss_is_rejected_when_the_config_is_built(self):
+        with pytest.raises(ValueError, match="'mse' or 'hinge', got 'mae'"):
+            GdConfig(loss="mae")
+        with pytest.raises(ValueError, match="'mae'"):
+            trainer_config({"shape": "full", "loss": "mae"})
