@@ -122,19 +122,18 @@ def cmd_gen(dataset_name, n, noise, n_train, n_val, n_test, noise_sigma, seed, o
     if name == "sinc":
         parts = datasets.gen_sinc(n_train=n_train, n_val=n_val, n_test=n_test,
                                   noise_sigma=noise_sigma, seed=seed)
-        files = [(out.with_name(f"{out.stem}-{part}{out.suffix or '.csv'}"), ds)
+        files = [(out.with_name(f"{out.stem}-{part}{out.suffix or '.csv'}"), ["x", "y"], ds)
                  for part, ds in zip(("train", "val", "test"), parts)]
     elif name == "two-moons":
-        files = [(out, datasets.gen_two_moons(n=n, noise=noise, seed=seed))]
+        files = [(out, ["x1", "x2", "y"], datasets.gen_two_moons(n=n, noise=noise, seed=seed))]
     elif name.upper() in datasets.LOGIC_GATES:
-        files = [(out, datasets.gen_logic_gate(name))]
+        files = [(out, ["x1", "x2", "y"], datasets.gen_logic_gate(name))]
     else:
         raise click.UsageError(
             f"unknown dataset {dataset_name!r}; expected 'sinc', 'two-moons' "
             f"or a gate name {sorted(datasets.LOGIC_GATES)}")
-    for path, ds in files:
-        inputs = ["x"] if name == "sinc" else [f"x{j + 1}" for j in range(ds.p)]
-        _write_csv(path, inputs + ["y"], [*ds.inputs.T, ds.targets])
+    for path, header, ds in files:
+        _write_csv(path, header, [*ds.inputs.T, ds.targets])
         click.echo(f"wrote {path} ({ds.n} rows)")
 
 
@@ -354,7 +353,7 @@ def cmd_reproduce(recipe_name, data_dir, pair, dct_keep):
     if pair and pair[0] == pair[1]:
         raise click.UsageError("--pair needs two distinct digits")
     try:
-        experiments._override(experiments.load_recipe(recipe_name), pair or None, dct_keep)
+        experiments.check_overrides(experiments.load_recipe(recipe_name), pair or None, dct_keep)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     # what fails once the recipe runs is its data: absent or malformed

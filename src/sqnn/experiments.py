@@ -253,15 +253,13 @@ _RUNNERS = {
 }
 
 
-def _override(recipe: dict, pair=None, dct_keep=None) -> dict:
-    """A copy of the recipe with `pair` as its only digit pair and
-    `dct_keep` as its DCT block; ValueError when it has no such field."""
-    overrides = {"pairs": None if pair is None else [pair], "dct_block": dct_keep}
-    overrides = {key: value for key, value in overrides.items() if value is not None}
-    missing = " or ".join(key for key in overrides if key not in recipe)
+def check_overrides(recipe: dict, pair=None, dct_keep=None) -> None:
+    """ValueError when `pair` or `dct_keep` is given for a recipe without
+    the `pairs` or `dct_block` it would override."""
+    missing = " or ".join(key for key, value in (("pairs", pair), ("dct_block", dct_keep))
+                          if value is not None and key not in recipe)
     if missing:
         raise ValueError(f"recipe {recipe['name']!r} has no {missing} to override")
-    return {**recipe, **overrides}
 
 
 def run_recipe(name: str, data_dir=None, pair=None, dct_keep=None,
@@ -271,14 +269,17 @@ def run_recipe(name: str, data_dir=None, pair=None, dct_keep=None,
     `pair` and `dct_keep` override the recipe's `pairs` and `dct_block`:
     the MNIST recipe then runs a single digit pair, or keeps another
     low-frequency block, and only the bounds of that pair are checked.
-    On a recipe without those fields they raise ValueError before the
-    run. Raises MissingData when a required file is absent.
+    `dct_keep` on a recipe without `dct_block` raises ValueError before
+    the run; `pair` on one without `pairs` checks no bound, as none is
+    named after a pair. Raises MissingData when a required file is absent.
     """
     recipe = load_recipe(name)
     runner = _RUNNERS.get(recipe["experiment"])
     if runner is None:
         raise ValueError(f"recipe {name!r} has unknown experiment {recipe['experiment']!r}")
-    recipe = _override(recipe, pair, dct_keep)
+    check_overrides(recipe, dct_keep=dct_keep)
+    overrides = {"pairs": pair and [pair], "dct_block": dct_keep}
+    recipe = {**recipe, **{key: value for key, value in overrides.items() if value is not None}}
     result = RecipeResult(name=name)
     start = time.monotonic()
     runner(recipe, result, log or (lambda msg: None), resolve_data_dir(data_dir))

@@ -231,11 +231,15 @@ def test_pair_and_dct_keep_leave_the_loaded_recipe_unchanged(monkeypatch, tmp_pa
     ("table4-moons", {"dct_keep": 5}, "dct_block"),
     ("table4-moons", {"pair": (1, 2), "dct_keep": 5}, "pairs or dct_block"),
 ])
-def test_pair_or_dct_keep_without_the_recipe_field_is_rejected_before_the_run(
-        name, overrides, key):
-    lines = []
+def test_check_overrides_names_the_missing_recipe_field(name, overrides, key):
     with pytest.raises(ValueError, match=f"recipe {name!r} has no {key} to override"):
-        run_recipe(name, log=lines.append, **overrides)
+        experiments.check_overrides(load_recipe(name), **overrides)
+
+
+def test_dct_keep_without_a_dct_block_is_rejected_before_the_run():
+    lines = []
+    with pytest.raises(ValueError, match="recipe 'table4-moons' has no dct_block to override"):
+        run_recipe("table4-moons", log=lines.append, dct_keep=5)
     assert lines == []
 
 
