@@ -15,7 +15,7 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from . import datasets, experiments, features, metrics, model_io, training
+from . import datasets, experiments, features, linalg, metrics, model_io, training
 
 EXIT_FAILURE = 1
 EXIT_IO = 3
@@ -208,7 +208,10 @@ def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets, 
     data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols,
                          header)
     if trainer == "lls":
-        model = training.lls_train(data, config)
+        try:
+            model = training.lls_train(data, config)
+        except linalg.NumericFailure as exc:
+            _fail(EXIT_FAILURE, str(exc))
         angle = model._design_for(data.inputs) @ model.beta.flat()
         rhs = training.arctanh_labels(data.targets, config.epsilon)
         residual = float(np.mean((angle - rhs) ** 2))
@@ -327,7 +330,7 @@ def cmd_crossval(data_path, target_column, label_map, drop_cols, no_scale_target
         summary = metrics.crossval(data, trainer=trainer, config=config,
                                    model_shape=shape, task=task,
                                    k=k_folds, seed=seed)
-    except (training.TrainingDiverged, ValueError) as exc:
+    except (training.TrainingDiverged, linalg.NumericFailure, ValueError) as exc:
         _fail(EXIT_FAILURE, str(exc))
     _echo_metrics(("metric", "mean", "std"),
                   [(name, s.mean, s.std) for name, s in sorted(summary.items())], fmt)
@@ -363,6 +366,8 @@ def cmd_reproduce(recipe_name, data_dir, pair, dct_keep):
                                         log=click.echo)
     except (experiments.MissingData, ValueError) as exc:
         _fail(EXIT_IO, str(exc))
+    except linalg.NumericFailure as exc:
+        _fail(EXIT_FAILURE, str(exc))
     for line in result.report_lines():
         click.echo(line)
     if not result.assertions:
@@ -379,7 +384,10 @@ def cmd_reproduce(recipe_name, data_dir, pair, dct_keep):
 def cmd_fetch(dataset, data_dir):
     """Download the real datasets."""
     directory = experiments.resolve_data_dir(data_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot create {directory}: {exc}")
     names = list(experiments.DATASET_SOURCES) if dataset == "all" else [dataset]
     failures = 0
     for name in names:
@@ -418,8 +426,12 @@ def _download(url: str, directory: Path) -> bool:
         return False
     if dest.suffix == ".zip":
         import zipfile
-        with zipfile.ZipFile(dest) as zf:
-            zf.extractall(directory)
+        try:
+            with zipfile.ZipFile(dest) as zf:
+                zf.extractall(directory)
+        except (zipfile.BadZipFile, OSError) as exc:
+            click.echo(f"error: cannot extract {dest}: {exc}", err=True)
+            return False
         click.echo(f"extracted {dest.name}")
     return True
 

@@ -5,9 +5,26 @@ truncation rule, the pseudoinverse assembly and the minimum-norm solve
 are implemented here so their numerical contracts are explicit. Solving
 goes through the SVD of the design matrix directly instead of forming
 the normal equations, which would square the condition number.
+
+Threads: a matrix of at most _ONE_THREAD_MAX_CELLS cells (m * n) is
+factorized on one OpenBLAS thread, and the earlier count is restored
+afterwards, also when the factorization raises. On a 2-core x86-64 host
+(OpenBLAS 0.3.31) one thread beat two from 512 x 31 up to 2,000 x 301
+(69 vs 82 ms), and two beat one at 4,000 x 500 (274 vs 331 ms) and at
+12,665 x 785 (1,525 vs 2,025 ms). The count is process-wide, so while a
+small SVD runs every OpenBLAS call of the process uses one thread. The
+guard only lowers the count, so OPENBLAS_NUM_THREADS still caps it.
+Where numpy does not bundle OpenBLAS (MKL, Accelerate, a system BLAS)
+the guard does nothing.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +44,44 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
+# Largest matrix, in cells (m * n), that svd factorizes on one OpenBLAS thread.
+_ONE_THREAD_MAX_CELLS = 1_000_000
+_threads_lock = threading.Lock()
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS in numpy's wheel, or
+    None where there is none. Resolved on first use, not at import."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _threads_for(shape: tuple[int, int]):
+    """Run the block on one OpenBLAS thread if a matrix of this shape is
+    small, then restore the count. Small solves in concurrent threads take
+    turns, so each restores the count it found."""
+    blas = _openblas_threads() if shape[0] * shape[1] <= _ONE_THREAD_MAX_CELLS else None
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _threads_lock:
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
+
+
 def default_rcond(shape: tuple[int, int]) -> float:
     """Relative truncation threshold: machine epsilon times max(n, m)."""
     return float(np.finfo(float).eps * max(shape))
@@ -40,7 +95,8 @@ def svd(a):
     """
     m = _as_matrix(a)
     try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        with _threads_for(m.shape):
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"SVD did not converge: {exc}") from exc
     return u, s, vt.T

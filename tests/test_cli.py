@@ -439,6 +439,67 @@ class TestDivergence:
         assert "diverged" in result.output
 
 
+class TestNumericFailure:
+    @pytest.mark.parametrize("args", [
+        ("train", "--data", "xor.csv", "--method", "lls", "--out", "m.json"),
+        ("crossval", "--data", "xor.csv", "--k", 4), ("reproduce", "table4-moons")])
+    def test_svd_that_does_not_converge_exits_1(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        invoke(runner, "gen", "xor", "--out", "xor.csv")
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        result = invoke(runner, *args, expect=1)
+        assert "error: SVD did not converge" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestFetch:
+    """Fetch failures exit 3 with `error: cannot ...` and no traceback;
+    downloads are patched, so no test touches the network."""
+
+    @pytest.fixture
+    def downloads(self, monkeypatch):
+        """URLs requested; each download writes a truncated zip archive."""
+        import io
+        import urllib.request
+        import zipfile
+
+        archive = io.BytesIO()
+        with zipfile.ZipFile(archive, "w") as zf:
+            zf.writestr("communities.data", "1,2,3\n" * 100)
+        urls = []
+
+        def retrieve(url, dest):
+            urls.append(url)
+            Path(dest).write_bytes(archive.getvalue()[:40])
+
+        monkeypatch.setattr(urllib.request, "urlretrieve", retrieve)
+        return urls
+
+    @staticmethod
+    def check(result):
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_data_dir_below_a_regular_file(self, runner, tmp_path, downloads):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        result = invoke(runner, "fetch", "wdbc", "--data-dir", blocker / "data", expect=3)
+        self.check(result)
+        assert f"error: cannot create {blocker / 'data'}" in result.output
+        assert downloads == []
+
+    def test_truncated_zip(self, runner, tmp_path, downloads):
+        result = invoke(runner, "fetch", "communities", "--data-dir", tmp_path, expect=3)
+        self.check(result)
+        assert len(downloads) == 1
+        assert "error: cannot extract" in result.output
+        assert "1 dataset(s) could not be fetched" in result.output
+
+
 class TestModelFileErrors:
     def test_unsupported_version_is_io_error(self, runner, tmp_path):
         data = tmp_path / "moons.csv"

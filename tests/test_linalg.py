@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sqnn.linalg import default_rcond, lls_solve, pinv, svd
+from sqnn import datasets, linalg, training
+from sqnn.linalg import NumericFailure, default_rcond, lls_solve, pinv, svd
 
 
 def gauss_solve(a, b):
@@ -158,3 +159,101 @@ class TestLlsSolve:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="entries"):
             lls_solve(np.eye(3), np.ones(4))
+
+
+class FakeThreads:
+    """Stands in for OpenBLAS's thread-count getter and setter; records
+    every count set and starts no thread."""
+
+    def __init__(self, count=4):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+class TestThreadGuard:
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        fake = FakeThreads()
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: (fake.get, fake.set))
+        return fake
+
+    @pytest.fixture
+    def seen(self, monkeypatch, fake):
+        """Thread counts in force while np.linalg.svd ran."""
+        counts, factorize = [], np.linalg.svd
+
+        def recording(*args, **kwargs):
+            counts.append(fake.count)
+            return factorize(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return counts
+
+    def test_small_matrix_runs_on_one_thread_and_restores_the_count(self, fake, seen):
+        svd(np.random.default_rng(0).normal(size=(512, 31)))
+        assert seen == [1]
+        assert fake.sets == [1, 4] and fake.count == 4
+
+    @pytest.mark.parametrize("shape, one_thread", [
+        ((1000, 1000), True), ((1000, 1001), False), ((12665, 785), False)])
+    def test_the_cell_limit_decides(self, fake, shape, one_thread):
+        with linalg._threads_for(shape):
+            inside = fake.count
+        assert inside == (1 if one_thread else 4)
+        assert fake.sets == ([1, 4] if one_thread else [])
+
+    def test_a_raising_factorization_still_restores_the_count(self, monkeypatch, fake):
+        def fail(*args, **kwargs):
+            assert fake.count == 1
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericFailure, match="did not converge"):
+            svd(np.eye(3))
+        assert fake.sets == [1, 4] and fake.count == 4
+
+    def test_without_the_library_svd_runs_unchanged(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+        a = np.random.default_rng(1).normal(size=(40, 6))
+        u, s, v = svd(a)
+        u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)
+        assert np.array_equal(u, u0) and np.array_equal(s, s0) and np.array_equal(v, vt0.T)
+
+    def test_real_library_count_is_restored_after_a_solve(self):
+        blas = linalg._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS with thread-count symbols")
+        get, _ = blas
+        before = get()
+        rng = np.random.default_rng(2)
+        lls_solve(rng.normal(size=(512, 31)), rng.normal(size=512))
+        assert get() == before
+
+
+def test_wdbc_coefficients_match_an_unguarded_solve(monkeypatch, data_dir):
+    """The thread count changes only the order of LAPACK's sums, so the
+    one-thread fits match fits at the default count to rounding, which
+    grows with the condition number (about 3e9 at K=10, where the worst
+    fold differs by 1e-8 of its largest coefficient)."""
+    from conftest import require_dataset
+    require_dataset("wdbc", data_dir)
+    data = datasets.load_csv(data_dir / "wdbc.data", target_column=1, has_header=False,
+                             drop_cols=(0,), label_map={"M": 1, "B": -1},
+                             scale_targets=False)
+    plan = datasets.kfold_plan(data.n, k=10, stratified=True, seed=0, labels=data.targets)
+    for K in (1, 2, 3, 4, 10):
+        config = training.LlsConfig(K=K, epsilon=1e-16)
+        for fold in range(plan.k):
+            train, _ = datasets.split(data, plan, fold)
+            guarded = training.lls_train(train, config).beta.flat()
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "_openblas_threads", lambda: None)
+                plain = training.lls_train(train, config).beta.flat()
+            assert np.max(np.abs(guarded - plain)) <= 1e-8 * np.max(np.abs(plain)), (K, fold)
