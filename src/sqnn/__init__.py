@@ -8,7 +8,7 @@ from .datasets import (Dataset, FoldPlan, filter_pair, gen_logic_gate,
                        load_mnist_idx, split)
 from .features import (NormalizationRecord, PolynomialWeightFunction,
                        build_design_matrix, dct_features, eval_angle)
-from .linalg import lls_solve, pinv, svd
+from .linalg import lls_solve, svd
 from .metrics import (ConfusionMatrix, MetricReport, MetricSummary,
                       confusion, crossval, metric_suite)
 from .model_io import load as load_model
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PolynomialWeightFunction", "NormalizationRecord", "eval_angle",
     "build_design_matrix", "dct_features",
-    "svd", "pinv", "lls_solve",
+    "svd", "lls_solve",
     "Dataset", "FoldPlan", "load_csv", "load_mnist_idx", "filter_pair",
     "gen_logic_gate", "gen_sinc", "gen_two_moons", "kfold_plan", "split",
     "ConfusionMatrix", "MetricReport", "MetricSummary", "confusion",

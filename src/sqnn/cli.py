@@ -79,18 +79,31 @@ def _write_csv(path, header, columns):
         _fail(EXIT_IO, f"cannot write {path}: {exc}")
 
 
-data_option = click.option("--data", "data_path", required=True,
-                           type=click.Path(exists=False), help="CSV dataset path.")
-target_column_option = click.option("--target-column", default="-1", show_default=True,
-                                    help="Target column index or header name.")
-label_map_option = click.option("--label-map", default=None,
-                                help="Categorical target mapping, e.g. 'M:1,B:-1'.")
-drop_cols_option = click.option("--drop-col", "drop_cols", multiple=True, type=int,
-                                help="Column index to drop (repeatable).")
-no_scale_option = click.option("--no-scale-targets", is_flag=True,
-                               help="Fail instead of rescaling out-of-range targets.")
-header_option = click.option("--header/--no-header", default=None,
-                             help="First row is a header (default: when it holds no number).")
+def _stack(*options):
+    """One decorator that applies `options` as if written above the
+    command in this order."""
+    def apply(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+    return apply
+
+
+# The dataset options of `train`, `eval` and `crossval`; _load_dataset takes them.
+_data_options = _stack(
+    click.option("--data", "data_path", required=True,
+                 type=click.Path(exists=False), help="CSV dataset path."),
+    click.option("--target-column", default="-1", show_default=True,
+                 help="Target column index or header name."),
+    click.option("--label-map", default=None,
+                 help="Categorical target mapping, e.g. 'M:1,B:-1'."),
+    click.option("--drop-col", "drop_cols", multiple=True, type=int,
+                 help="Column index to drop (repeatable)."),
+    click.option("--no-scale-targets", is_flag=True,
+                 help="Fail instead of rescaling out-of-range targets."),
+    click.option("--header/--no-header", default=None,
+                 help="First row is a header (default: when it holds no number)."),
+)
 
 
 @click.group()
@@ -141,33 +154,27 @@ def cmd_gen(dataset_name, n, noise, n_train, n_val, n_test, noise_sigma, seed, o
 _METHOD_SHAPES = {"lls": None, "gd": "full", "gd-full": "full", "gd-reduced": "reduced"}
 
 
-def _trainer_options(command):
-    """The trainer options `train` and `crossval` share. Each binds to
-    the config field of its name; the defaults shown are the config
-    classes' defaults."""
-    gd = training.GdConfig
-    options = [
-        click.option("--method", default="lls", show_default=True,
-                     type=click.Choice(list(_METHOD_SHAPES), case_sensitive=False),
-                     help="lls, gd (five-angle network), gd-full or gd-reduced."),
-        click.option("--K", "K", default=training.LlsConfig.K, show_default=True,
-                     type=click.IntRange(min=1), help="Polynomial degree / neuron count."),
-        click.option("--lr", "learning_rate", default=gd.learning_rate, show_default=True,
-                     type=click.FloatRange(min=0, min_open=True)),
-        click.option("--max-epochs", default=gd.max_epochs, show_default=True,
-                     type=click.IntRange(min=1)),
-        click.option("--target-loss", default=gd.target_loss, show_default=True,
-                     type=click.FloatRange(min=0)),
-        click.option("--init-scale", default=gd.init_scale, show_default=True,
-                     type=click.FloatRange(min=0)),
-        click.option("--loss", default=gd.loss, show_default=True,
-                     type=click.Choice(["mse", "hinge"])),
-        click.option("--no-normalize", "normalize", flag_value=False, default=True,
-                     help="Skip input min-max scaling."),
-    ]
-    for option in reversed(options):
-        command = option(command)
-    return command
+# The trainer options `train` and `crossval` share. Each binds to the
+# config field of its name; the defaults shown are the config classes' defaults.
+_trainer_options = _stack(
+    click.option("--method", default="lls", show_default=True,
+                 type=click.Choice(list(_METHOD_SHAPES), case_sensitive=False),
+                 help="lls, gd (five-angle network), gd-full or gd-reduced."),
+    click.option("--K", "K", default=training.LlsConfig.K, show_default=True,
+                 type=click.IntRange(min=1), help="Polynomial degree / neuron count."),
+    click.option("--lr", "learning_rate", default=training.GdConfig.learning_rate,
+                 show_default=True, type=click.FloatRange(min=0, min_open=True)),
+    click.option("--max-epochs", default=training.GdConfig.max_epochs, show_default=True,
+                 type=click.IntRange(min=1)),
+    click.option("--target-loss", default=training.GdConfig.target_loss, show_default=True,
+                 type=click.FloatRange(min=0)),
+    click.option("--init-scale", default=training.GdConfig.init_scale, show_default=True,
+                 type=click.FloatRange(min=0)),
+    click.option("--loss", default=training.GdConfig.loss, show_default=True,
+                 type=click.Choice(["mse", "hinge"])),
+    click.option("--no-normalize", "normalize", flag_value=False, default=True,
+                 help="Skip input min-max scaling."),
+)
 
 
 def _trainer_config(method: str, **settings):
@@ -185,12 +192,7 @@ def _trainer_config(method: str, **settings):
 
 
 @main.command("train")
-@data_option
-@target_column_option
-@label_map_option
-@drop_cols_option
-@no_scale_option
-@header_option
+@_data_options
 @_trainer_options
 @click.option("--seed", default=training.GdConfig.seed, show_default=True, type=int)
 @click.option("--rcond", default=training.LlsConfig.rcond, type=float,
@@ -249,12 +251,7 @@ def _echo_metrics(columns, rows, fmt):
 
 @main.command("eval")
 @click.option("--model", "model_path", required=True, type=click.Path())
-@data_option
-@target_column_option
-@label_map_option
-@drop_cols_option
-@no_scale_option
-@header_option
+@_data_options
 @click.option("--task", default="classification", show_default=True,
               type=click.Choice(["regression", "classification"]))
 @click.option("--format", "fmt", default="table", show_default=True,
@@ -303,12 +300,7 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
 
 
 @main.command("crossval")
-@data_option
-@target_column_option
-@label_map_option
-@drop_cols_option
-@no_scale_option
-@header_option
+@_data_options
 @_trainer_options
 @click.option("--task", default="classification", show_default=True,
               type=click.Choice(["regression", "classification"]))

@@ -60,7 +60,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    feature_names: tuple[str, ...] | None = None
     tag: str = ""
     target_range: tuple[float, float] | None = None
     dropped_rows: int = 0
@@ -125,7 +124,7 @@ def _sniff_header(path, row, label_map) -> bool:
 def load_csv(path, target_column=-1, has_header: bool | None = None, *,
              label_map: dict[str, float] | None = None,
              drop_cols=(), drop_sparse_cols: float | None = None,
-             scale_targets: bool | str = "auto", tag: str = "") -> Dataset:
+             scale_targets: bool | str = "auto") -> Dataset:
     """Load a numeric CSV into a Dataset.
 
     The target column may be given by index (negative counts from the
@@ -213,10 +212,6 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     tcol = keep.index(target_idx)
     y = matrix[:, tcol]
     X = np.delete(matrix, tcol, axis=1)
-    names = None
-    if header is not None:
-        kept_names = [header[j] for j in keep]
-        names = tuple(name for i, name in enumerate(kept_names) if i != tcol)
 
     target_range = None
     need_scale = scale_targets is True or (
@@ -225,8 +220,7 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
         target_range = (float(y.min()), float(y.max()))
         y = NormalizationRecord(None, None, *target_range).apply_target(y)
 
-    return Dataset(inputs=X, targets=y, feature_names=names,
-                   tag=tag or str(path), target_range=target_range,
+    return Dataset(inputs=X, targets=y, tag=str(path), target_range=target_range,
                    dropped_rows=dropped_rows)
 
 
@@ -309,11 +303,10 @@ def gen_logic_gate(gate: str) -> Dataset:
 
 
 def gen_sinc(n_train: int = 800, n_val: int = 100, n_test: int = 100,
-             noise_sigma: float = 0.0, seed: int = 0,
-             x_range: tuple[float, float] = (-10.0, 10.0)):
+             noise_sigma: float = 0.0, seed: int = 0):
     """Train/validation/test splits of y = sin(x)/x with optional white noise.
 
-    x is sampled uniformly on `x_range`; sinc(0) = 1 by continuity. Noisy
+    x is sampled uniformly on [-10, 10]; sinc(0) = 1 by continuity. Noisy
     targets are clipped to [-1, 1] (relevant only for sigma large enough
     to push a sample past the peak).
     """
@@ -322,7 +315,7 @@ def gen_sinc(n_train: int = 800, n_val: int = 100, n_test: int = 100,
     rng = np.random.default_rng(seed)
 
     def make(n: int, part: str) -> Dataset:
-        x = rng.uniform(x_range[0], x_range[1], n)
+        x = rng.uniform(-10.0, 10.0, n)
         y = np.sinc(x / np.pi)  # np.sinc(t) = sin(pi t)/(pi t)
         if noise_sigma > 0:
             y = np.clip(y + rng.normal(0.0, noise_sigma, n), -1.0, 1.0)
@@ -359,18 +352,20 @@ def gen_two_moons(n: int = 1000, noise: float = 0.07, seed: int = 0) -> Dataset:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """A k-way partition of sample indices, optionally stratified."""
+    """A k-way partition of the sample indices range(n)."""
 
     k: int
     folds: tuple[np.ndarray, ...]
-    seed: int
-    stratified: bool
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if len(self.folds) != self.k:
             raise ValueError("fold count does not match k")
+        indices = np.sort(np.concatenate(self.folds))
+        if not np.array_equal(indices, np.arange(indices.size)):
+            raise ValueError("folds must partition range(n): an index is repeated, "
+                             "missing or out of range")
 
     @property
     def n(self) -> int:
@@ -394,7 +389,7 @@ def kfold_plan(n: int, k: int = 10, stratified: bool = False,
     if not stratified:
         perm = rng.permutation(n)
         folds = tuple(np.sort(chunk) for chunk in np.array_split(perm, k))
-        return FoldPlan(k=k, folds=folds, seed=seed, stratified=False)
+        return FoldPlan(k=k, folds=folds)
 
     if labels is None:
         raise ValueError("stratified folding requires labels")
@@ -404,7 +399,7 @@ def kfold_plan(n: int, k: int = 10, stratified: bool = False,
     pos = np.array_split(rng.permutation(np.where(y > 0)[0]), k)
     neg = np.array_split(rng.permutation(np.where(y <= 0)[0]), k)
     folds = tuple(np.sort(np.concatenate([pos[i], neg[k - 1 - i]])) for i in range(k))
-    return FoldPlan(k=k, folds=folds, seed=seed, stratified=True)
+    return FoldPlan(k=k, folds=folds)
 
 
 def split(dataset: Dataset, plan: FoldPlan, fold: int) -> tuple[Dataset, Dataset]:

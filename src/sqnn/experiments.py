@@ -77,8 +77,6 @@ class MissingData(FileNotFoundError):
         lines += [f"  {u}" for u in source["urls"]]
         lines.append(f"  ({source['note']})")
         super().__init__("\n".join(lines))
-        self.dataset = dataset
-        self.missing = missing
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Dense real linear algebra for the one-shot least-squares trainer.
 
 The factorization itself is delegated to LAPACK through numpy; the
-truncation rule, the pseudoinverse assembly and the minimum-norm solve
-are implemented here so their numerical contracts are explicit. Solving
-goes through the SVD of the design matrix directly instead of forming
-the normal equations, which would square the condition number.
+truncation rule and the minimum-norm solve are implemented here so
+their numerical contracts are explicit. Solving goes through the SVD of
+the design matrix directly instead of forming the normal equations,
+which would square the condition number.
 
 Threads: a matrix of at most _ONE_THREAD_MAX_CELLS cells (m * n) is
 factorized on one OpenBLAS thread, and the earlier count is restored
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["svd", "pinv", "lls_solve", "default_rcond", "NumericFailure"]
+__all__ = ["svd", "lls_solve", "default_rcond", "NumericFailure"]
 
 
 class NumericFailure(RuntimeError):
@@ -102,33 +102,14 @@ def svd(a):
     return u, s, vt.T
 
 
-def _kept(s: np.ndarray, shape: tuple[int, int], rcond: float | None) -> np.ndarray:
-    """Mask of the singular values above rcond * s_max, the one truncation
-    rule of this module; rcond defaults to default_rcond(shape)."""
-    if rcond is None:
-        rcond = default_rcond(shape)
-    if rcond < 0:
-        raise ValueError(f"rcond must be non-negative, got {rcond}")
-    return s > rcond * (s[0] if s.size else 0.0)
-
-
-def pinv(a, rcond: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via truncated SVD.
-
-    Singular values at or below rcond * s_max are treated as zero. The
-    default rcond is eps * max(n, m).
-    """
-    m = _as_matrix(a)
-    u, s, v = svd(m)
-    inv_s = np.divide(1.0, s, where=_kept(s, m.shape, rcond), out=np.zeros_like(s))
-    return (v * inv_s) @ u.T
-
-
 def lls_solve(x, y, rcond: float | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution of X @ S ~= Y.
 
     Computed as V @ diag(1/s) @ U.T @ Y on the retained-rank subspace,
-    which equals pinv(X.T @ X) @ X.T @ Y but stays well conditioned.
+    which equals the normal-equation solution (X.T @ X)^+ @ X.T @ Y but
+    stays well conditioned. Singular values at or below rcond * s_max,
+    the one truncation rule of this module, count as zero; rcond defaults
+    to default_rcond(X.shape).
     """
     m = _as_matrix(x)
     rhs = np.asarray(y, dtype=float).ravel()
@@ -136,6 +117,10 @@ def lls_solve(x, y, rcond: float | None = None) -> np.ndarray:
         raise ValueError(f"right-hand side has {rhs.size} entries, expected {m.shape[0]}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite entries")
+    if rcond is None:
+        rcond = default_rcond(m.shape)
+    if rcond < 0:
+        raise ValueError(f"rcond must be non-negative, got {rcond}")
     u, s, v = svd(m)
-    scaled = np.divide(u.T @ rhs, s, where=_kept(s, m.shape, rcond), out=np.zeros_like(s))
+    scaled = np.divide(u.T @ rhs, s, where=s > rcond * s[0], out=np.zeros_like(s))
     return v @ scaled

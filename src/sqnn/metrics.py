@@ -120,29 +120,32 @@ class MetricSummary:
 def _train_for(dataset: Dataset, trainer: str, config, model_shape: str):
     if trainer == "lls":
         return lls_train(dataset, config)
-    if trainer == "gd":
-        model, _ = gd_train(dataset, config, model_shape=model_shape)
-        return model
-    raise ValueError(f"unknown trainer {trainer!r}, expected 'lls' or 'gd'")
+    model, _ = gd_train(dataset, config, model_shape=model_shape)
+    return model
 
 
 def crossval(dataset: Dataset, *, trainer: str = "lls",
              config: GdConfig | LlsConfig | None = None,
              model_shape: str = "reduced", task: str = "classification",
-             k: int = 10, seed: int = 0,
-             stratified: bool | None = None) -> dict[str, MetricSummary]:
+             k: int = 10, seed: int = 0) -> dict[str, MetricSummary]:
     """k-fold cross-validation; deterministic for a given seed.
 
-    Classification reports the five standard metrics per held-out fold;
-    regression reports the training-fold and held-out MSE. Stratification
-    defaults to on for classification and off for regression.
+    Classification reports the five standard metrics per held-out fold,
+    over stratified folds; regression reports the training-fold and
+    held-out MSE. `config` must be an LlsConfig for trainer "lls" and a
+    GdConfig for "gd"; None takes that class's defaults.
     """
+    config_class = {"lls": LlsConfig, "gd": GdConfig}.get(trainer)
+    if config_class is None:
+        raise ValueError(f"unknown trainer {trainer!r}, expected 'lls' or 'gd'")
     if config is None:
-        config = LlsConfig() if trainer == "lls" else GdConfig()
+        config = config_class()
+    if not isinstance(config, config_class):
+        raise ValueError(f"trainer {trainer!r} takes a {config_class.__name__}, "
+                         f"got a {type(config).__name__}")
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
-    if stratified is None:
-        stratified = task == "classification"
+    stratified = task == "classification"
     plan = kfold_plan(dataset.n, k=k, stratified=stratified, seed=seed,
                       labels=dataset.targets if stratified else None)
 

@@ -193,9 +193,11 @@ class TrainedModel:
         """The power design of one input vector or an (n, p) batch, scaled
         by the stored feature bounds."""
         arr = np.asarray(x, dtype=float)
-        dim = arr.size if arr.ndim == 1 else (arr.shape[1] if arr.ndim == 2 else None)
-        if dim != self.p:
-            raise ValueError(f"input has dimension {dim}, model expects {self.p}")
+        if arr.ndim not in (1, 2):
+            raise ValueError(f"input must be a {self.p}-vector or an (n, {self.p}) array, "
+                             f"got shape {arr.shape}")
+        if arr.shape[-1] != self.p:
+            raise ValueError(f"input has dimension {arr.shape[-1]}, model expects {self.p}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("input holds non-finite values")
         record = self.normalization

@@ -23,6 +23,10 @@ TrainedModel.predict, which builds the design instead.
 `dct2` and `idct2` are the orthonormal 2-D type-II DCT of one square
 image and its inverse, C @ X @ C.T and C.T @ Y @ C, the reference for
 sqnn.features.dct_features.
+
+`pinv` is the Moore-Penrose pseudoinverse by truncated SVD, with the
+truncation rule of sqnn.linalg.lls_solve: the Penrose conditions and the
+normal-equation route check the solve through it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 
 from sqnn.circuit import expectation_batch, gradient_batch
 from sqnn.features import NormalizationRecord, _dct_matrix
+from sqnn.linalg import default_rcond, svd
 
 
 def _require_finite(**angles: float) -> None:
@@ -296,3 +301,16 @@ def idct2(coeffs) -> np.ndarray:
     arr = _square(np.asarray(coeffs, dtype=float), "coefficient block")
     c = _dct_matrix(arr.shape[0])
     return c.T @ arr @ c
+
+
+def pinv(a, rcond: float | None = None) -> np.ndarray:
+    """Pseudoinverse V @ diag(1/s) @ U.T; singular values at or below
+    rcond * s_max count as zero, and rcond defaults to eps * max(n, m)."""
+    m = np.asarray(a, dtype=float)
+    if rcond is None:
+        rcond = default_rcond(m.shape)
+    if rcond < 0:
+        raise ValueError(f"rcond must be non-negative, got {rcond}")
+    u, s, v = svd(m)
+    inv_s = np.divide(1.0, s, where=s > rcond * s[0], out=np.zeros_like(s))
+    return (v * inv_s) @ u.T

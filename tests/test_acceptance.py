@@ -17,13 +17,13 @@ import pytest
 
 from sqnn import experiments
 from sqnn.datasets import gen_sinc
-from sqnn.linalg import lls_solve, pinv
+from sqnn.linalg import lls_solve
 from sqnn.training import GdConfig, gd_train, mse_loss
 
 from conftest import require_dataset
 from oracle import (AngleSet, Observable, QubitState, effective_neuron,
                     expectation_closed_form, expectation_gradient, expectation_matrix,
-                    neuron_matrix, rotation_gate)
+                    neuron_matrix, pinv, rotation_gate)
 
 ANGLE_FIELDS = ("alpha", "beta", "gamma", "theta", "omega")
 

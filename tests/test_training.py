@@ -436,6 +436,13 @@ class TestPredictionPaths:
         with pytest.raises(ValueError, match="dimension 3.*expects 2"):
             model.predict([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("x, shape", [(1.0, r"\(\)"), (np.zeros((2, 3, 2)), r"\(2, 3, 2\)")])
+    def test_input_of_wrong_rank_names_its_shape(self, x, shape):
+        model = TrainedModel(kind="lls", K=1, p=2,
+                             beta=PolynomialWeightFunction(K=1, p=2))
+        with pytest.raises(ValueError, match=f"got shape {shape}"):
+            model.predict(x)
+
     @pytest.mark.parametrize("kind", ["lls", "gd-full", "gd-reduced"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, kind, bad):
