@@ -91,10 +91,11 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """Rows picked by integer indices or by a boolean mask."""
         idx = np.asarray(indices)
-        if idx.dtype != bool:
-            idx = idx.astype(int)  # an empty list arrives as float
-        return replace(self, inputs=self.inputs[idx], targets=self.targets[idx],
-                       dropped_rows=0)
+        # a mask becomes row numbers (indexing checks its length), and take
+        # copies whole rows, several times faster than fancy indexing
+        idx = np.arange(self.n)[idx] if idx.dtype == bool else idx.astype(int)
+        return replace(self, inputs=self.inputs.take(idx, axis=0),
+                       targets=self.targets.take(idx), dropped_rows=0)
 
 
 def _parse_cell(cell: str, label_map: dict[str, float] | None) -> float | None:
@@ -404,11 +405,11 @@ def kfold_plan(n: int, k: int = 10, stratified: bool = False,
 
 def split(dataset: Dataset, plan: FoldPlan, fold: int) -> tuple[Dataset, Dataset]:
     """(train, test) datasets for one fold of the plan; the test set is
-    the fold itself and the train set is its complement."""
+    the fold itself and the train set its complement, in row order."""
     if not 0 <= fold < plan.k:
         raise ValueError(f"fold must be in [0, {plan.k}), got {fold}")
     if plan.n != dataset.n:
         raise ValueError(f"plan covers {plan.n} samples but dataset has {dataset.n}")
-    test_idx = plan.folds[fold]
-    train_idx = np.concatenate([plan.folds[j] for j in range(plan.k) if j != fold])
-    return dataset.subset(np.sort(train_idx)), dataset.subset(test_idx)
+    train = np.ones(dataset.n, dtype=bool)
+    train[plan.folds[fold]] = False
+    return dataset.subset(train), dataset.subset(plan.folds[fold])

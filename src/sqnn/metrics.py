@@ -119,9 +119,8 @@ class MetricSummary:
 
 def _train_for(dataset: Dataset, trainer: str, config, model_shape: str):
     if trainer == "lls":
-        return lls_train(dataset, config)
-    model, _ = gd_train(dataset, config, model_shape=model_shape)
-    return model
+        return lls_train(dataset, config), None
+    return gd_train(dataset, config, model_shape=model_shape)
 
 
 def crossval(dataset: Dataset, *, trainer: str = "lls",
@@ -132,8 +131,10 @@ def crossval(dataset: Dataset, *, trainer: str = "lls",
 
     Classification reports the five standard metrics per held-out fold,
     over stratified folds; regression reports the training-fold and
-    held-out MSE. `config` must be an LlsConfig for trainer "lls" and a
-    GdConfig for "gd"; None takes that class's defaults.
+    held-out MSE. A GD fit on the MSE loss gives its last loss, the MSE
+    at the returned coefficients; other fits predict their training fold.
+    `config` must be an LlsConfig for trainer "lls" and a GdConfig for
+    "gd"; None takes that class's defaults.
     """
     config_class = {"lls": LlsConfig, "gd": GdConfig}.get(trainer)
     if config_class is None:
@@ -152,14 +153,15 @@ def crossval(dataset: Dataset, *, trainer: str = "lls",
     per_fold: dict[str, list[float]] = {}
     for fold in range(plan.k):
         train_set, test_set = split(dataset, plan, fold)
-        model = _train_for(train_set, trainer, config, model_shape)
+        model, history = _train_for(train_set, trainer, config, model_shape)
         if task == "classification":
             report = metric_suite(confusion(model.predict_class(test_set.inputs),
                                             test_set.targets))
             fold_values = report.as_dict()
         else:
             fold_values = {
-                "train_mse": mse_loss(model.predict(train_set.inputs), train_set.targets),
+                "train_mse": (history[-1] if history and config.loss == "mse" else
+                              mse_loss(model.predict(train_set.inputs), train_set.targets)),
                 "test_mse": mse_loss(model.predict(test_set.inputs), test_set.targets),
             }
         for name, value in fold_values.items():

@@ -4,9 +4,10 @@ Two trainers are provided. Gradient descent minimizes a batch loss over
 the coefficients of polynomial angle functions (and, for the five-angle
 network, the scalar state and observable angles), using the analytic
 circuit derivatives chained with d(angle)/d(c_kj) = x_j^k. Per epoch, the
-reduced network's cos(beta) and -sin(beta) come from one tan(beta / 2),
-and the five-angle network's value and partials from one forward and
-reverse pass of the circuit's Bloch-vector chain. The one-shot
+reduced network's cos(beta) and -sin(beta) come from one tan(beta / 2)
+into buffers made once per fit, the five-angle network's value and
+partials from one pass of the circuit's Bloch-vector chain, and the
+loss's 2/n or -1/n goes on the coefficient gradient. The one-shot
 least-squares trainer maps labels through arctanh and solves for the
 polynomial coefficients with a pseudoinverse, which is a global minimum
 of the squared error in the transformed space.
@@ -14,6 +15,7 @@ of the squared error in the transformed space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -76,17 +78,16 @@ def hinge_loss(predictions, targets) -> float:
 
 
 def _loss_and_residual(kind: str, yhat: np.ndarray, y: np.ndarray):
-    """Loss value and d(loss)/d(yhat) for `kind` "mse" or "hinge" (GdConfig
-    rejects any other). The MSE residual is formed in place on yhat."""
+    """(loss, res, scale) with d(loss)/d(yhat) = scale * res, formed in
+    place on yhat. MSE: res = yhat - y, scale 2/n. Hinge: res = y where
+    the margin 1 - yhat y is positive (else 0), scale -1/n."""
     n = y.size
     if kind == "mse":
         diff = np.subtract(yhat, y, out=yhat)
-        loss = float(diff @ diff) / n
-        diff *= 2.0 / n
-        return loss, diff
-    margin = 1.0 - yhat * y
-    active = margin > 0
-    return float(np.mean(np.maximum(0.0, margin))), np.where(active, -y, 0.0) / n
+        return float(diff @ diff) / n, diff, 2.0 / n
+    margin = np.subtract(1.0, np.multiply(yhat, y, out=yhat), out=yhat)
+    loss = float(np.maximum(margin, 0.0, out=margin).sum()) / n
+    return loss, np.multiply(np.sign(margin, out=margin), y, out=margin), -1.0 / n
 
 
 @dataclass(frozen=True)
@@ -237,13 +238,13 @@ def _design(data, K: int, normalize: bool):
     return design, record if normalize or target_range is not None else None
 
 
-def _cos_and_sin(half):
+def _cos_and_sin(half, out=None):
     """cos and sin of beta = 2 half from t = tan(half): with
     r = 2 / (1 + t^2), cos = r - 1 and sin = t r. numpy vectorises
     float64 tan but not sin and cos. Works in place: half ends up
-    holding sin(beta)."""
+    holding sin(beta), and cos goes to `out` (new when None)."""
     t = np.tan(half, out=half)
-    r = np.multiply(t, t, out=np.empty_like(t))
+    r = np.square(t, out=np.empty_like(t) if out is None else out)
     r += 1.0
     np.divide(2.0, r, out=r)
     t *= r
@@ -251,29 +252,36 @@ def _cos_and_sin(half):
     return r, t
 
 
-def _reduced_value_and_grad(design, w):
-    """cos(beta) for beta = design @ w: the |0> input measured in the
-    computational basis after Ry(beta). Equals the five-angle expectation
-    with the other four angles at zero. beta / 2 is design @ (w / 2),
-    exactly half of design @ w. The gradient closure scales sin(beta) by
-    the residual in place, so it is called at most once."""
-    value, sin = _cos_and_sin(design @ (0.5 * w))
-    return value, lambda res: -(np.multiply(sin, res, out=sin) @ design)
+def _reduced_value_and_grad(design):
+    """value_and_grad(w) for cos(beta), beta = design @ w: the |0> input
+    measured in the computational basis after Ry(beta). Equals the
+    five-angle expectation with the other four angles at zero. -beta / 2
+    is design @ (-w / 2), exactly; tan is odd, so that half angle gives
+    cos(beta) and its derivative -sin(beta). Every call reuses the two
+    buffers made here; the gradient scales -sin(beta) in place."""
+    cos, dcos = np.empty((2, design.shape[0]))
+
+    def value_and_grad(w):
+        _cos_and_sin(np.matmul(design, -0.5 * w, out=dcos), out=cos)
+        return cos, lambda res: np.multiply(dcos, res, out=dcos) @ design
+
+    return value_and_grad
 
 
-def _full_value_and_grad(design, w):
-    """Five-angle expectation; w holds the alpha, beta and gamma
-    coefficients followed by the scalar theta and omega. One pass of the
-    circuit's Bloch-vector chain gives the value and all five partials."""
+def _full_value_and_grad(design):
+    """value_and_grad(w) for the five-angle expectation; w holds the
+    alpha, beta and gamma coefficients followed by the scalar theta and
+    omega. One pass of the circuit's Bloch-vector chain gives the value
+    and all five partials, which the gradient scales in place."""
     n = design.shape[1]
-    value, (d_al, d_be, d_ga, d_th, d_om) = circuit.gradient_batch(
-        design @ w[:n], design @ w[n:2 * n], design @ w[2 * n:3 * n], w[-2], w[-1])
 
-    def grad(res):
-        return np.concatenate([(res * d_al) @ design, (res * d_be) @ design,
-                               (res * d_ga) @ design, [res @ d_th, res @ d_om]])
+    def value_and_grad(w):
+        value, (*d_abg, d_th, d_om) = circuit.gradient_batch(
+            design @ w[:n], design @ w[n:2 * n], design @ w[2 * n:3 * n], w[-2], w[-1])
+        return value, lambda res: np.concatenate(
+            [np.multiply(d, res, out=d) @ design for d in d_abg] + [[res @ d_th, res @ d_om]])
 
-    return value, grad
+    return value_and_grad
 
 
 def _reduced_model(w, n, K, p) -> dict:
@@ -287,8 +295,8 @@ def _full_model(w, n, K, p) -> dict:
             "theta": float(w[-2]), "omega": float(w[-1])}
 
 
-# Per shape: parameter count for n design columns, value_and_grad(design,
-# w) -> (predictions, residual -> loss gradient), and the model fields.
+# Per shape: parameter count for n columns, the per-fit factory design ->
+# value_and_grad(w) -> (yhat, res -> gradient / scale), and model fields.
 _GD_SHAPES = {
     "reduced": (lambda n: n, _reduced_value_and_grad, _reduced_model),
     "full": (lambda n: 3 * n + 2, _full_value_and_grad, _full_model),
@@ -301,14 +309,16 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     `model_shape` is "reduced" (single polynomial Ry angle, computational
     basis measurement of |0>-input) or "full" (polynomials for all three
     neuron angles plus scalar state and observable angles). Loss history
-    holds the batch loss after each epoch's update; training stops when
-    it reaches `target_loss` or after `max_epochs` updates, and aborts if
-    the loss leaves the finite range.
+    holds the batch loss after each update (the last is the loss at the
+    returned coefficients); training stops when it reaches `target_loss`
+    or after `max_epochs` updates, and aborts if the loss leaves the
+    finite range. The residual's scale goes on the gradient:
+    w -= (lr * scale) * grad(res).
     """
     _check_shape(model_shape)
     if data.n < 1:
         raise ValueError("dataset is empty")
-    n_params, value_and_grad, model_fields = _GD_SHAPES[model_shape]
+    n_params, make_value_and_grad, model_fields = _GD_SHAPES[model_shape]
     y = data.targets
     # extreme powers overflow to inf and trip the divergence guard
     with np.errstate(over="ignore"):
@@ -316,21 +326,22 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     n_coef = design.shape[1]
     rng = np.random.default_rng(config.seed)
     w = rng.uniform(-config.init_scale, config.init_scale, n_params(n_coef))
+    value_and_grad = make_value_and_grad(design)
 
     history: list[float] = []
     # non-finite intermediates are expected on the way to the divergence
     # guard below, so numpy's warnings are silenced for the loop
     with np.errstate(invalid="ignore", over="ignore"):
-        yhat, grad = value_and_grad(design, w)
-        loss, res = _loss_and_residual(config.loss, yhat, y)
+        yhat, grad = value_and_grad(w)
+        loss, res, scale = _loss_and_residual(config.loss, yhat, y)
         for _ in range(config.max_epochs):
             if loss <= config.target_loss:
                 break
-            w = w - config.learning_rate * grad(res)
-            yhat, grad = value_and_grad(design, w)
-            loss, res = _loss_and_residual(config.loss, yhat, y)
+            w -= (config.learning_rate * scale) * grad(res)
+            yhat, grad = value_and_grad(w)
+            loss, res, scale = _loss_and_residual(config.loss, yhat, y)
             history.append(loss)
-            if not np.isfinite(loss) or loss > DIVERGENCE_CAP:
+            if not math.isfinite(loss) or loss > DIVERGENCE_CAP:
                 raise TrainingDiverged(epoch=len(history), loss=loss)
     if not history:
         history.append(loss)

@@ -60,6 +60,8 @@ class TestDataset:
         for empty in ([], [False, False, False]):
             with pytest.raises(ValueError, match="non-empty"):
                 ds.subset(empty)
+        with pytest.raises(IndexError, match="boolean index did not match"):
+            ds.subset([True, False])
 
 
 class TestLoadCsv:
@@ -516,13 +518,20 @@ class TestFolds:
 
     def test_split_disjoint_and_complete(self):
         ds = gen_two_moons(n=33, noise=0.05, seed=7)
-        plan = kfold_plan(33, k=5, seed=5)
-        for fold in range(5):
-            train, test = split(ds, plan, fold)
-            assert train.n + test.n == 33
-            train_rows = {tuple(r) for r in train.inputs}
-            test_rows = {tuple(r) for r in test.inputs}
-            assert not train_rows & test_rows
+        for plan in (kfold_plan(33, k=5, seed=5),
+                     kfold_plan(33, k=5, stratified=True, seed=5, labels=ds.targets)):
+            for fold in range(5):
+                train, test = split(ds, plan, fold)
+                assert train.n + test.n == 33
+                train_rows = {tuple(r) for r in train.inputs}
+                test_rows = {tuple(r) for r in test.inputs}
+                assert not train_rows & test_rows
+                # the training set is the fold's complement, bit for bit and in row order
+                complement = np.setdiff1d(np.arange(33), plan.folds[fold])
+                expected = ds.subset(np.sort(complement))
+                for got, want in ((train.inputs, expected.inputs),
+                                  (train.targets, expected.targets)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("folds", [
         ([0, 1], [1, 2]),     # row 1 in both folds

@@ -7,7 +7,7 @@ from sqnn import metrics
 from sqnn.datasets import Dataset, kfold_plan, split
 from sqnn.metrics import (ConfusionMatrix, MetricSummary, confusion, crossval,
                           metric_suite)
-from sqnn.training import GdConfig, LlsConfig, lls_train
+from sqnn.training import GdConfig, LlsConfig, gd_train, hinge_loss, lls_train, mse_loss
 
 
 def separable_blobs(n=60, seed=0):
@@ -138,6 +138,27 @@ class TestCrossval:
                            task="regression", k=4, seed=2)
         assert set(summary) == {"train_mse", "test_mse"}
         assert summary["test_mse"].mean < 0.05
+
+    @pytest.mark.parametrize("shape, loss", [("reduced", "mse"), ("full", "mse"),
+                                             ("reduced", "hinge")])
+    def test_train_mse_is_the_training_fold_mse(self, shape, loss):
+        # an MSE fit reports its last loss, a hinge fit predicts: either way
+        # the value is the MSE of the returned model on its training fold
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1, 1, (50, 2))
+        y = np.cos(0.5 + 0.7 * X[:, 0] - 0.4 * X[:, 1])
+        data = Dataset(inputs=X, targets=y if loss == "mse" else np.sign(y - y.mean()))
+        config = GdConfig(K=2, max_epochs=40, learning_rate=0.2, loss=loss)
+        summary = crossval(data, trainer="gd", config=config, model_shape=shape,
+                           task="regression", k=4, seed=3)
+        plan = kfold_plan(data.n, k=4, seed=3)
+        for fold, value in enumerate(summary["train_mse"].values):
+            train, _ = split(data, plan, fold)
+            model, _ = gd_train(train, config, model_shape=shape)
+            predictions = model.predict(train.inputs)
+            assert value == pytest.approx(mse_loss(predictions, train.targets), rel=1e-14)
+            if loss == "hinge":
+                assert value != pytest.approx(hinge_loss(predictions, train.targets))
 
     def test_deterministic(self):
         data = separable_blobs(n=30, seed=7)
