@@ -107,6 +107,21 @@ def _parse_cell(cell: str, label_map: dict[str, float] | None) -> float | None:
     return float(text)
 
 
+def _raise_first_bad_row(path, columns, keep, target_idx, label_map):
+    """Raise the ValueError of the first data row with a non-numeric, or
+    else a non-finite, cell in a kept column; load_csv's column pass
+    calls this once it has seen such a cell, to report it row by row."""
+    for i, row in enumerate(zip(*(columns[j] for j in keep)), start=1):
+        try:
+            values = [_parse_cell(cell, label_map if j == target_idx else None)
+                      for j, cell in zip(keep, row)]
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric cell: {exc}") from exc
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: non-finite cell in data row {i}; mark a "
+                             "missing value with '?' or an empty cell")
+
+
 def _sniff_header(path, row, label_map) -> bool:
     """The first row is a header when it holds text and no number (missing
     markers aside); a row that mixes the two could be either."""
@@ -172,14 +187,15 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
                              f"{ncols} columns")
         return idx % ncols
 
+    n = len(rows)
+    # one pass per column: strip, find the missing markers, convert
+    columns = [[cell.strip() for cell in column] for column in zip(*rows)]
+    del rows
     dropped_cols = sorted({resolve(c) for c in drop_cols})
     if drop_sparse_cols is not None:
-        missing = np.zeros(ncols)
-        for row in rows:
-            for j, cell in enumerate(row):
-                if cell.strip() in MISSING_MARKERS:
-                    missing[j] += 1
-        sparse = np.where(missing / len(rows) > drop_sparse_cols)[0]
+        gaps = np.array([sum(cell in MISSING_MARKERS for cell in column)
+                         for column in columns])
+        sparse = np.where(gaps / n > drop_sparse_cols)[0]
         dropped_cols = sorted(set(dropped_cols) | set(sparse.tolist()))
 
     target_idx = resolve(target_column)
@@ -190,29 +206,41 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
         raise ValueError(f"{path}: no feature column left after the target and "
                          "the dropped columns")
 
-    data, dropped_rows = [], 0
-    for i, row in enumerate(rows, start=1):
+    missing = np.zeros(n, dtype=bool)
+
+    def parse(j) -> np.ndarray:
+        """Column j as floats, NaN where a missing marker is (and marked
+        in `missing`); a defect is reported row by row."""
+        cells = columns[j]
+        gaps = None
+        if not MISSING_MARKERS.isdisjoint(cells):
+            gaps = np.fromiter((cell in MISSING_MARKERS for cell in cells), bool, n)
+            missing[gaps] = True
+            cells = [math.nan if gap else cell for gap, cell in zip(gaps, cells)]
+        if j == target_idx and label_map:
+            cells = [label_map.get(cell, cell) for cell in cells]
         try:
-            values = [_parse_cell(row[j], label_map if j == target_idx else None)
-                      for j in keep]
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric cell: {exc}") from exc
-        if not all(v is None or math.isfinite(v) for v in values):
-            raise ValueError(f"{path}: non-finite cell in data row {i}; mark a "
-                             "missing value with '?' or an empty cell")
-        if any(v is None for v in values):
-            dropped_rows += 1
-            continue
-        data.append(values)
-    if not data:
+            values = np.fromiter(map(float, cells), float, n)
+        except ValueError:
+            _raise_first_bad_row(path, columns, keep, target_idx, label_map)
+        finite = np.isfinite(values)
+        if gaps is not None:
+            finite |= gaps
+        if not finite.all():
+            _raise_first_bad_row(path, columns, keep, target_idx, label_map)
+        return values
+
+    y = parse(target_idx)
+    feature_cols = [j for j in keep if j != target_idx]
+    X = np.empty((n, len(feature_cols)))
+    for k, j in enumerate(feature_cols):
+        X[:, k] = parse(j)
+    dropped_rows = int(np.count_nonzero(missing))
+    if dropped_rows == n:
         raise ValueError(f"{path}: all rows dropped for missing values")
     if dropped_rows:
         log.warning("%s: dropped %d row(s) with missing values", path, dropped_rows)
-
-    matrix = np.array(data, dtype=float)
-    tcol = keep.index(target_idx)
-    y = matrix[:, tcol]
-    X = np.delete(matrix, tcol, axis=1)
+        X, y = X[~missing], y[~missing]
 
     target_range = None
     need_scale = scale_targets is True or (
@@ -266,6 +294,12 @@ def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
+# Images per dct_features call in filter_pair: the float pixels and the
+# transform's two intermediates then take a few MiB, not three times
+# the feature matrix.
+_DCT_CHUNK = 256
+
+
 def filter_pair(images, labels, a: int, b: int, *,
                 dct_block: int | None = None) -> Dataset:
     """Binary dataset for one digit pair, with DCT feature rows.
@@ -274,7 +308,8 @@ def filter_pair(images, labels, a: int, b: int, *,
     Keeps only images labeled `a` or `b`; the lower digit maps to +1 and
     the higher to -1. Features are the flattened orthonormal DCT
     coefficients of each selected image scaled to [0, 1] (optionally
-    only the top-left `dct_block` x `dct_block` low-frequency block).
+    only the top-left `dct_block` x `dct_block` low-frequency block),
+    computed _DCT_CHUNK images at a time into the feature matrix.
     """
     if a == b:
         raise ValueError("digit pair must be distinct")
@@ -288,7 +323,13 @@ def filter_pair(images, labels, a: int, b: int, *,
     if not mask.any():
         raise ValueError(f"no samples labeled {a} or {b}")
     lo = min(a, b)
-    feats = dct_features(images[mask] / 255.0, keep=dct_block)
+    picked = np.flatnonzero(mask)
+    feats = None
+    for start in range(0, picked.size, _DCT_CHUNK):
+        chunk = dct_features(images[picked[start:start + _DCT_CHUNK]] / 255.0, keep=dct_block)
+        if feats is None:
+            feats = np.empty((picked.size, chunk.shape[1]))
+        feats[start:start + len(chunk)] = chunk
     targets = np.where(labels[mask] == lo, 1.0, -1.0)
     return Dataset(inputs=feats, targets=targets, tag=f"mnist-{a}v{b}")
 

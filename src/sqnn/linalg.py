@@ -35,10 +35,14 @@ class NumericFailure(RuntimeError):
     """Raised when the underlying factorization does not converge."""
 
 
+def _check_shape(shape) -> None:
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+        raise ValueError(f"expected a non-empty 2-D matrix, got shape {shape}")
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
+    _check_shape(m.shape)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
@@ -109,18 +113,20 @@ def lls_solve(x, y, rcond: float | None = None) -> np.ndarray:
     which equals the normal-equation solution (X.T @ X)^+ @ X.T @ Y but
     stays well conditioned. Singular values at or below rcond * s_max,
     the one truncation rule of this module, count as zero; rcond defaults
-    to default_rcond(X.shape).
+    to default_rcond(X.shape). X is checked for non-finite entries once,
+    by svd, which factorizes it as given.
     """
-    m = _as_matrix(x)
+    shape = np.shape(x)
+    _check_shape(shape)
     rhs = np.asarray(y, dtype=float).ravel()
-    if rhs.size != m.shape[0]:
-        raise ValueError(f"right-hand side has {rhs.size} entries, expected {m.shape[0]}")
+    if rhs.size != shape[0]:
+        raise ValueError(f"right-hand side has {rhs.size} entries, expected {shape[0]}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite entries")
     if rcond is None:
-        rcond = default_rcond(m.shape)
+        rcond = default_rcond(shape)
     if rcond < 0:
         raise ValueError(f"rcond must be non-negative, got {rcond}")
-    u, s, v = svd(m)
+    u, s, v = svd(x)
     scaled = np.divide(u.T @ rhs, s, where=s > rcond * s[0], out=np.zeros_like(s))
     return v @ scaled

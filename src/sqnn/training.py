@@ -257,13 +257,16 @@ def _reduced_value_and_grad(design):
     measured in the computational basis after Ry(beta). Equals the
     five-angle expectation with the other four angles at zero. -beta / 2
     is design @ (-w / 2), exactly; tan is odd, so that half angle gives
-    cos(beta) and its derivative -sin(beta). Every call reuses the two
-    buffers made here; the gradient scales -sin(beta) in place."""
+    cos(beta) and its derivative -sin(beta). Every call reuses the
+    buffers made here, two n-length and two coefficient-length: the
+    gradient scales -sin(beta) in place and is written to one of them."""
     cos, dcos = np.empty((2, design.shape[0]))
+    half_w, grad = np.empty((2, design.shape[1]))
 
     def value_and_grad(w):
-        _cos_and_sin(np.matmul(design, -0.5 * w, out=dcos), out=cos)
-        return cos, lambda res: np.multiply(dcos, res, out=dcos) @ design
+        np.multiply(w, -0.5, out=half_w)
+        _cos_and_sin(np.matmul(design, half_w, out=dcos), out=cos)
+        return cos, lambda res: np.matmul(np.multiply(dcos, res, out=dcos), design, out=grad)
 
     return value_and_grad
 
@@ -312,8 +315,8 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     holds the batch loss after each update (the last is the loss at the
     returned coefficients); training stops when it reaches `target_loss`
     or after `max_epochs` updates, and aborts if the loss leaves the
-    finite range. The residual's scale goes on the gradient:
-    w -= (lr * scale) * grad(res).
+    finite range. The residual's scale goes on the gradient, in place:
+    g = grad(res); g *= lr * scale; w -= g.
     """
     _check_shape(model_shape)
     if data.n < 1:
@@ -337,7 +340,9 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
         for _ in range(config.max_epochs):
             if loss <= config.target_loss:
                 break
-            w -= (config.learning_rate * scale) * grad(res)
+            g = grad(res)
+            g *= config.learning_rate * scale
+            w -= g
             yhat, grad = value_and_grad(w)
             loss, res, scale = _loss_and_residual(config.loss, yhat, y)
             history.append(loss)

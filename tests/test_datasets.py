@@ -2,14 +2,15 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sqnn.datasets import (Dataset, FoldPlan, filter_pair, gen_logic_gate, gen_sinc,
-                           gen_two_moons, kfold_plan, load_csv,
+from sqnn.datasets import (_DCT_CHUNK, Dataset, FoldPlan, filter_pair, gen_logic_gate,
+                           gen_sinc, gen_two_moons, kfold_plan, load_csv,
                            load_mnist_idx, split)
 from sqnn.features import dct_features
 
@@ -147,6 +148,24 @@ class TestLoadCsv:
         path = tmp_path / "t.csv"
         path.write_text("a,b,y\n1,nan,0.5\n3,4,-0.5\n")
         with pytest.raises(ValueError, match="non-finite cell in data row 1"):
+            load_csv(path)
+
+    def test_missing_cell_does_not_hide_a_defect_in_its_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,y\n1,?,0.5\n3,inf,-0.5\n")
+        with pytest.raises(ValueError, match="non-finite cell in data row 2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("a,b,y\n1,nan,0.5\nabc,4,-0.5\n", "non-finite cell in data row 1"),
+        ("a,b,y\n1,abc,0.5\n3,4,inf\n", "non-numeric cell: .*'abc'"),
+        ("a,b,y\n1,2,0.5\n3,x,inf\nz,4,0.1\n", "non-numeric cell: .*'x'"),
+    ])
+    def test_the_first_defective_row_is_reported(self, tmp_path, text, match):
+        # the cells are parsed a column at a time, but reported row by row
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
             load_csv(path)
 
     def test_mixed_first_row_is_neither_header_nor_data(self, tmp_path):
@@ -343,6 +362,32 @@ class TestFilterPair:
         mask = (labels == 2) | (labels == 8)
         ds = filter_pair(images, labels, 2, 8, dct_block=3)
         np.testing.assert_array_equal(ds.inputs, dct_features((images / 255.0)[mask], keep=3))
+
+    @pytest.mark.parametrize("keep", [None, 8, 1])
+    def test_chunked_features_equal_one_transform(self, keep):
+        # the features are computed _DCT_CHUNK images at a time; the
+        # selection spans two chunks and part of a third
+        n = 2 * _DCT_CHUNK + 37
+        images = byte_images(6, (n + 20, 8, 8))
+        labels = np.r_[np.tile([4, 6], n // 2 + 1)[:n], np.full(20, 9)]
+        mask = (labels == 4) | (labels == 6)
+        ds = filter_pair(images, labels, 6, 4, dct_block=keep)
+        np.testing.assert_array_equal(ds.inputs, dct_features(images[mask] / 255.0, keep))
+
+    def test_peak_memory_stays_near_the_features(self):
+        # one chunk's float pixels and transform, not three full-size
+        # arrays; the bound leaves room for the Dataset's own finiteness
+        # check (an eighth of the features) and its targets
+        images = byte_images(7, (12_000, 8, 8))
+        labels = np.arange(12_000) % 2
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = filter_pair(images, labels, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1.25 * ds.inputs.nbytes
 
     def test_block_selection(self):
         images = byte_images(3, (2, 8, 8))

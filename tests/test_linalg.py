@@ -164,6 +164,31 @@ class TestLlsSolve:
         with pytest.raises(ValueError, match="entries"):
             lls_solve(np.eye(3), np.ones(4))
 
+    @pytest.mark.parametrize("matrix, rows, match", [
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), 2, "non-finite"),
+        (np.array([[1.0, 0.0], [np.inf, 1.0]]), 2, "non-finite"),
+        (np.ones(2), 2, "2-D"),
+        (np.float64(1.0), 1, "2-D"),
+        (np.ones((0, 2)), 0, "non-empty"),
+        (np.ones((2, 0)), 2, "non-empty"),
+    ])
+    def test_bad_matrix_rejected(self, matrix, rows, match):
+        with pytest.raises(ValueError, match=match):
+            lls_solve(matrix, np.ones(rows))
+
+    def test_one_svd_of_the_callers_matrix(self, monkeypatch):
+        # the solve factorizes the matrix it was given, once and whole
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return svd(a)
+
+        monkeypatch.setattr(linalg, "svd", spy)
+        a = np.asfortranarray(np.random.default_rng(8).normal(size=(40, 6)))
+        lls_solve(a, np.ones(40))
+        assert len(calls) == 1 and calls[0] is a
+
 
 class FakeThreads:
     """Stands in for OpenBLAS's thread-count getter and setter; records

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from sqnn import linalg
 from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
-from sqnn.features import PolynomialWeightFunction, build_design_matrix, eval_angle
+from sqnn.features import (_TILE_CELLS, PolynomialWeightFunction, _power_design,
+                           build_design_matrix, eval_angle)
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
                            TrainingDiverged, _cos_and_sin, _design,
                            arctanh_labels, gd_train, hinge_loss, lls_train,
@@ -311,6 +312,40 @@ class TestDesign:
 
     def test_wide_input(self):
         self.check(make_dataset(np.random.default_rng(40), n=30, p=784), 2)
+
+    # _power_design copies the inputs in tiles of TILE rows at p = 784
+    TILE = max(1, _TILE_CELLS // 784)
+
+    def test_rows_past_two_tiles(self):
+        self.check(make_dataset(np.random.default_rng(42), n=2 * self.TILE + 3, p=784), 2)
+
+    def test_rows_within_one_tile(self):
+        self.check(make_dataset(np.random.default_rng(43), n=self.TILE - 1, p=784), 1)
+
+    def test_flat_columns_and_a_range_only_in_the_last_tile(self):
+        data = make_dataset(np.random.default_rng(44), n=2 * self.TILE + 3, p=784)
+        X = data.inputs.copy()
+        X[:, 5] = 0.25  # flat
+        X[:, 9] = -0.5
+        X[-2, 9] = 0.75  # flat except in the last tile
+        design, record = self.check(replace(data, inputs=X), 1)
+        np.testing.assert_array_equal(design[:, 1 + 5], np.zeros(X.shape[0]))
+        assert (record.feature_min[9], record.feature_max[9]) == (-0.5, 0.75)
+        assert design[-2, 1 + 9] == 1.0
+
+    def test_stored_bounds_equal_the_plain_path(self):
+        # prediction scales a new batch by the fitted bounds, outside [-1, 1]
+        rng = np.random.default_rng(45)
+        fitted = fit_feature_scaling(rng.uniform(-1, 1, (50, 784)))
+        X = rng.uniform(-2, 2, (2 * self.TILE + 3, 784))
+        fitted.feature_min[3] = fitted.feature_max[3] = X[:, 3] = 0.5  # zero width
+        design, lo, hi = _power_design(X, 2, (fitted.feature_min, fitted.feature_max))
+        assert lo is fitted.feature_min and hi is fitted.feature_max
+        span = hi - lo
+        with np.errstate(invalid="ignore", divide="ignore"):
+            plain = np.where(span > 0, 2.0 * (X - lo) / span - 1.0, 0.0)
+        np.testing.assert_array_equal(design, hstack_design(plain, 2))
+        assert design.flags.f_contiguous
 
     def test_makes_no_scaled_copy_of_the_inputs(self):
         # tracemalloc counts numpy's allocations: building the design
