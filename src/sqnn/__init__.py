@@ -14,8 +14,7 @@ from .metrics import (ConfusionMatrix, MetricReport, MetricSummary,
 from .model_io import load as load_model
 from .model_io import save as save_model
 from .training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
-                       TrainingDiverged, gd_train, hinge_loss, lls_train,
-                       mse_loss)
+                       TrainingDiverged, gd_train, lls_train, mse_loss)
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,7 @@ __all__ = [
     "ConfusionMatrix", "MetricReport", "MetricSummary", "confusion",
     "metric_suite", "crossval",
     "GdConfig", "LlsConfig", "TrainedModel", "TrainingDiverged", "InvalidLabel",
-    "mse_loss", "hinge_loss", "gd_train", "lls_train",
+    "mse_loss", "gd_train", "lls_train",
     "save_model", "load_model",
     "__version__",
 ]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .features import NormalizationRecord, dct_features
+from .linalg import _all_finite
 
 __all__ = [
     "Dataset",
@@ -71,7 +72,7 @@ class Dataset:
             raise ValueError(f"inputs must be a non-empty (n, p) array, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise ValueError(f"targets must have shape ({X.shape[0]},), got {y.shape}")
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
+        if not (_all_finite(X) and _all_finite(y)):
             raise ValueError("dataset contains non-finite values")
         if y.min() < -1.0 or y.max() > 1.0:
             raise ValueError(
@@ -414,27 +415,25 @@ class FoldPlan:
         return sum(f.size for f in self.folds)
 
 
-def kfold_plan(n: int, k: int = 10, stratified: bool = False,
-               seed: int = 0, labels=None) -> FoldPlan:
+def kfold_plan(n: int, k: int = 10, seed: int = 0, labels=None) -> FoldPlan:
     """Deterministic k-fold partition of range(n).
 
-    Fold sizes differ by at most one. With `stratified=True`, `labels`
-    (+1/-1) are required and each class is spread as evenly as possible;
-    leftover samples of the two classes are assigned from opposite ends
-    of the fold list so total sizes still differ by at most one.
+    Fold sizes differ by at most one. The folds are stratified exactly
+    when `labels` (+1/-1) are given: each class is spread as evenly as
+    possible, and leftover samples of the two classes are assigned from
+    opposite ends of the fold list so total sizes still differ by at
+    most one.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of samples n={n}")
     rng = np.random.default_rng(seed)
-    if not stratified:
+    if labels is None:
         perm = rng.permutation(n)
         folds = tuple(np.sort(chunk) for chunk in np.array_split(perm, k))
         return FoldPlan(k=k, folds=folds)
 
-    if labels is None:
-        raise ValueError("stratified folding requires labels")
     y = np.asarray(labels)
     if y.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {y.shape}")

@@ -40,10 +40,18 @@ def _check_shape(shape) -> None:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {shape}")
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array a is finite. min and max
+    propagate NaN, and an infinity is one of them, so two reductions
+    decide it without an isfinite mask the size of a. An empty array
+    never reaches them and counts as finite."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     _check_shape(m.shape)
-    if not np.all(np.isfinite(m)):
+    if not _all_finite(m):
         raise ValueError("matrix contains non-finite entries")
     return m
 

@@ -146,9 +146,8 @@ def crossval(dataset: Dataset, *, trainer: str = "lls",
                          f"got a {type(config).__name__}")
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
-    stratified = task == "classification"
-    plan = kfold_plan(dataset.n, k=k, stratified=stratified, seed=seed,
-                      labels=dataset.targets if stratified else None)
+    plan = kfold_plan(dataset.n, k=k, seed=seed,
+                      labels=dataset.targets if task == "classification" else None)
 
     per_fold: dict[str, list[float]] = {}
     for fold in range(plan.k):

@@ -33,7 +33,6 @@ __all__ = [
     "TrainingDiverged",
     "InvalidLabel",
     "mse_loss",
-    "hinge_loss",
     "gd_train",
     "lls_train",
     "arctanh_labels",
@@ -55,26 +54,15 @@ class InvalidLabel(ValueError):
     """A label lies outside [-1, 1] and cannot pass through arctanh."""
 
 
-def _check_pair(predictions, targets) -> tuple[np.ndarray, np.ndarray]:
+def mse_loss(predictions, targets) -> float:
+    """Mean squared error (1/n) sum (yhat_i - y_i)^2."""
     p = np.asarray(predictions, dtype=float).ravel()
     t = np.asarray(targets, dtype=float).ravel()
     if p.size != t.size:
         raise ValueError(f"length mismatch: {p.size} predictions vs {t.size} targets")
     if p.size == 0:
         raise ValueError("empty prediction/target vectors")
-    return p, t
-
-
-def mse_loss(predictions, targets) -> float:
-    """Mean squared error (1/n) sum (yhat_i - y_i)^2."""
-    p, t = _check_pair(predictions, targets)
     return float(np.mean((p - t) ** 2))
-
-
-def hinge_loss(predictions, targets) -> float:
-    """Mean hinge loss (1/n) sum max(0, 1 - yhat_i * y_i)."""
-    p, t = _check_pair(predictions, targets)
-    return float(np.mean(np.maximum(0.0, 1.0 - p * t)))
 
 
 def _loss_and_residual(kind: str, yhat: np.ndarray, y: np.ndarray):
@@ -199,7 +187,7 @@ class TrainedModel:
                              f"got shape {arr.shape}")
         if arr.shape[-1] != self.p:
             raise ValueError(f"input has dimension {arr.shape[-1]}, model expects {self.p}")
-        if not np.all(np.isfinite(arr)):
+        if not linalg._all_finite(arr):
             raise ValueError("input holds non-finite values")
         record = self.normalization
         bounds = (None if record is None or record.feature_min is None

@@ -1,6 +1,9 @@
+import gzip
 import os
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sqnn import experiments
@@ -53,3 +56,24 @@ def require_dataset(name: str, directory: Path):
     except experiments.MissingData as exc:
         pytest.skip(f"dataset {name!r} not available: fetch it with "
                     f"'sqnn fetch {name}' (network required). {exc}")
+
+
+def write_idx_pair(directory: Path, images, labels, *, prefix="", compress=False,
+                   image_magic=0x803, label_magic=0x801, label_count=None):
+    """(image path, label path) of an IDX pair written to `directory`;
+    the magic numbers and the label count can be set to malform it."""
+    images = np.asarray(images, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    n, rows, cols = images.shape
+    img_bytes = struct.pack(">IIII", image_magic, n, rows, cols) + images.tobytes()
+    lab_bytes = struct.pack(">II", label_magic,
+                            n if label_count is None else label_count) + labels.tobytes()
+    suffix = ".gz" if compress else ""
+    img_path = directory / f"{prefix}images-idx3-ubyte{suffix}"
+    lab_path = directory / f"{prefix}labels-idx1-ubyte{suffix}"
+    opener = gzip.open if compress else open
+    with opener(img_path, "wb") as fh:
+        fh.write(img_bytes)
+    with opener(lab_path, "wb") as fh:
+        fh.write(lab_bytes)
+    return img_path, lab_path

@@ -1,32 +1,21 @@
-"""Explicit 2x2 matrix path of the single-qubit circuit: the reference
-the Bloch-vector chain in sqnn.circuit is checked against.
+"""The tests' one reference for sqnn, on numpy and the standard library
+alone: it imports nothing from sqnn, so a fault in the package cannot
+also sit in the reference (tests/test_oracle.py fails on any such import).
 
-Rotation gates, the three-rotation neuron Rz(gamma)Ry(beta)Rz(alpha), a
-projector-valued observable and the measured expectation value, built by
-matrix-vector products. Unlike the chain it also models nonzero state
-and projector phases and arbitrary observable eigenvalues. `AngleSet`
-and the scalar wrappers `expectation_closed_form` and
-`expectation_gradient` evaluate sqnn.circuit's kernels on one angle set.
-
-`fit_feature_scaling`, `hstack_design` and `reference_gd_reduced` are
-the reduced-shape gradient-descent path written plainly: the inputs'
-column min and max in a NormalizationRecord, a row-major design stacked
-from the scaled inputs' power blocks, the gradient
-(res * -sin(beta)) @ design and the MSE residual 2 (yhat - y) / n, in
-the trainer's loop order.
-
-`poly_angle` evaluates a polynomial angle function by a power loop, one
-dot product per power, and `reference_predict` applies a trained model
-through it and the 2x2 matrix path: the references for
-TrainedModel.predict, which builds the design instead.
-
-`dct2` and `idct2` are the orthonormal 2-D type-II DCT of one square
-image and its inverse, C @ X @ C.T and C.T @ Y @ C, the reference for
-sqnn.features.dct_features.
-
-`pinv` is the Moore-Penrose pseudoinverse by truncated SVD, with the
-truncation rule of sqnn.linalg.lls_solve: the Penrose conditions and the
-normal-equation route check the solve through it.
+- Circuit: the 2x2 matrix path Rz(gamma)Ry(beta)Rz(alpha) on a state and
+  a projector-valued observable (`expectation_matrix`), the reference for
+  the Bloch-vector chain in sqnn.circuit; it also models state and
+  projector phases and arbitrary eigenvalues. `central_differences`
+  differentiates any function of a vector numerically.
+- Training: min-max scaling, the row-major power design, the MSE and
+  hinge losses with their derivatives, the seeded start and the
+  reduced-shape gradient descent built from them, in the trainer's order.
+- Prediction: a power-loop polynomial and a model applied through its
+  stored feature bounds and the matrix path.
+- DCT: the orthonormal type-II basis from its cosine formula, dct2 and
+  idct2.
+- Least squares: `pinv` by np.linalg.svd, dropping singular values at
+  or below eps * max(m, n) * s_max.
 """
 
 from __future__ import annotations
@@ -35,10 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from sqnn.circuit import expectation_batch, gradient_batch
-from sqnn.features import NormalizationRecord, _dct_matrix
-from sqnn.linalg import default_rcond, svd
 
 
 def _require_finite(**angles: float) -> None:
@@ -61,24 +46,6 @@ class AngleSet:
     def __post_init__(self):
         _require_finite(alpha=self.alpha, beta=self.beta, gamma=self.gamma,
                         theta=self.theta, omega=self.omega)
-
-
-def expectation_closed_form(angles: AngleSet) -> float:
-    """sqnn.circuit's expectation of one angle set (phases zero).
-
-    Reduces to cos(b)cos(t) - cos(a)sin(b)sin(t) at omega = 0 and to
-    cos(b) when theta = omega = 0.
-    """
-    return float(expectation_batch(angles.alpha, angles.beta, angles.gamma,
-                                   angles.theta, angles.omega))
-
-
-def expectation_gradient(angles: AngleSet) -> np.ndarray:
-    """sqnn.circuit's gradient for one angle set, as the 5-vector
-    (d/d alpha, d/d beta, d/d gamma, d/d theta, d/d omega)."""
-    _, parts = gradient_batch(angles.alpha, angles.beta, angles.gamma,
-                              angles.theta, angles.omega)
-    return np.array([float(p) for p in parts])
 
 
 @dataclass(frozen=True)
@@ -198,12 +165,27 @@ def expectation_matrix(angles: AngleSet,
     return obs.lambda0 * p0 + obs.lambda1 * p1
 
 
-def fit_feature_scaling(inputs) -> NormalizationRecord:
-    """The record that min-max scales each input column onto [-1, 1]."""
+def central_differences(f, x, step: float = 1e-6) -> np.ndarray:
+    """(f(x + h e_i) - f(x - h e_i)) / (2 h) in each coordinate of the
+    vector x. 2 h is taken as the difference of the two rounded
+    arguments, so the quotient stays exact at |x_i| near 1e3."""
+    x = np.asarray(x, dtype=float)
+    partials = np.empty(x.size)
+    for i in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi[i] += step
+        lo[i] -= step
+        partials[i] = (f(hi) - f(lo)) / (hi[i] - lo[i])
+    return partials
+
+
+def min_max_scale(inputs, lo, hi) -> np.ndarray:
+    """2 (x - lo) / (hi - lo) - 1 per column, so [lo, hi] maps onto
+    [-1, 1]; 0 where the column's range has zero width."""
     X = np.asarray(inputs, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("need at least one sample to fit feature scaling")
-    return NormalizationRecord(feature_min=X.min(axis=0), feature_max=X.max(axis=0))
+    span = hi - lo
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(span > 0, 2.0 * (X - lo) / span - 1.0, 0.0)
 
 
 def hstack_design(inputs, K: int) -> np.ndarray:
@@ -217,35 +199,45 @@ def hstack_design(inputs, K: int) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def reference_loss(kind: str, yhat, y) -> tuple[float, np.ndarray]:
+    """(loss, d loss / d yhat). "mse": mean (yhat - y)^2, derivative
+    2 (yhat - y) / n. "hinge": mean max(0, 1 - yhat y), derivative -y / n
+    where the margin 1 - yhat y is positive and 0 elsewhere."""
+    yhat, y = np.asarray(yhat, dtype=float), np.asarray(y, dtype=float)
+    n = y.size
+    if kind == "mse":
+        diff = yhat - y
+        return float(np.mean(diff ** 2)), 2.0 * diff / n
+    margin = 1.0 - yhat * y
+    return float(np.mean(np.maximum(0.0, margin))), np.where(margin > 0, -y, 0.0) / n
+
+
+def reference_init(config, n_params: int) -> np.ndarray:
+    """The trainer's seeded start: n_params draws from
+    uniform(-init_scale, init_scale)."""
+    return np.random.default_rng(config.seed).uniform(
+        -config.init_scale, config.init_scale, n_params)
+
+
 def reference_gd_reduced(data, config) -> tuple[np.ndarray, list[float]]:
     """Batch gradient descent on cos(design @ w); returns the final
     coefficients and the loss after each update, stopping as
     sqnn.training.gd_train does (target_loss, then max_epochs)."""
     X = data.inputs
     if config.normalize:
-        X = fit_feature_scaling(X).apply_features(X)
+        X = min_max_scale(X, X.min(axis=0), X.max(axis=0))
     design = hstack_design(X, config.K)
-    y, n = data.targets, data.targets.size
-    w = np.random.default_rng(config.seed).uniform(
-        -config.init_scale, config.init_scale, design.shape[1])
-
-    def loss_and_residual(yhat):
-        if config.loss == "mse":
-            diff = yhat - y
-            return float(np.mean(diff ** 2)), 2.0 * diff / n
-        margin = 1.0 - yhat * y
-        return (float(np.mean(np.maximum(0.0, margin))),
-                np.where(margin > 0, -y, 0.0) / n)
-
+    y = data.targets
+    w = reference_init(config, design.shape[1])
     beta = design @ w
-    loss, res = loss_and_residual(np.cos(beta))
+    loss, res = reference_loss(config.loss, np.cos(beta), y)
     history = []
     for _ in range(config.max_epochs):
         if loss <= config.target_loss:
             break
         w = w - config.learning_rate * ((res * -np.sin(beta)) @ design)
         beta = design @ w
-        loss, res = loss_and_residual(np.cos(beta))
+        loss, res = reference_loss(config.loss, np.cos(beta), y)
         history.append(loss)
     return w, history or [loss]
 
@@ -266,12 +258,13 @@ def poly_angle(f, x):
 
 def reference_predict(model, inputs) -> tuple[np.ndarray, float]:
     """(predictions, largest |angle|) of a TrainedModel on an (n, p)
-    batch: the inputs scaled by apply_features, every polynomial through
-    poly_angle, the five-angle output row by row through
-    expectation_matrix."""
+    batch: the inputs scaled by the model's stored feature bounds through
+    min_max_scale, every polynomial through poly_angle, the five-angle
+    output row by row through expectation_matrix."""
     X = np.asarray(inputs, dtype=float)
-    if model.normalization is not None:
-        X = model.normalization.apply_features(X)
+    record = model.normalization
+    if record is not None and record.feature_min is not None:
+        X = min_max_scale(X, record.feature_min, record.feature_max)
     beta = poly_angle(model.beta, X)
     if model.kind == "lls":
         return np.tanh(beta), float(np.max(np.abs(beta)))
@@ -283,6 +276,14 @@ def reference_predict(model, inputs) -> tuple[np.ndarray, float]:
     return preds, float(np.max(np.abs([alpha, beta, gamma])))
 
 
+def dct_basis(n: int) -> np.ndarray:
+    """Orthonormal type-II DCT basis C[k, i] = a_k cos(pi (2 i + 1) k / 2n),
+    with a_0 = 1 / sqrt(n) and a_k = sqrt(2 / n) for k > 0."""
+    k, i = np.arange(n)[:, None], np.arange(n)[None, :]
+    a = np.where(k == 0, 1.0 / np.sqrt(n), np.sqrt(2.0 / n))
+    return a * np.cos(np.pi * (2 * i + 1) * k / (2 * n))
+
+
 def _square(arr: np.ndarray, what: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square {what}, got shape {arr.shape}")
@@ -292,25 +293,25 @@ def _square(arr: np.ndarray, what: str) -> np.ndarray:
 def dct2(image) -> np.ndarray:
     """Orthonormal 2-D type-II DCT of a square image, C @ X @ C.T."""
     img = _square(np.asarray(image, dtype=float), "image")
-    c = _dct_matrix(img.shape[0])
+    c = dct_basis(img.shape[0])
     return c @ img @ c.T
 
 
 def idct2(coeffs) -> np.ndarray:
     """Inverse of dct2, C.T @ Y @ C."""
     arr = _square(np.asarray(coeffs, dtype=float), "coefficient block")
-    c = _dct_matrix(arr.shape[0])
+    c = dct_basis(arr.shape[0])
     return c.T @ arr @ c
 
 
 def pinv(a, rcond: float | None = None) -> np.ndarray:
     """Pseudoinverse V @ diag(1/s) @ U.T; singular values at or below
-    rcond * s_max count as zero, and rcond defaults to eps * max(n, m)."""
+    rcond * s_max count as zero, and rcond defaults to eps * max(m, n)."""
     m = np.asarray(a, dtype=float)
     if rcond is None:
-        rcond = default_rcond(m.shape)
+        rcond = np.finfo(float).eps * max(m.shape)
     if rcond < 0:
         raise ValueError(f"rcond must be non-negative, got {rcond}")
-    u, s, v = svd(m)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     inv_s = np.divide(1.0, s, where=s > rcond * s[0], out=np.zeros_like(s))
-    return (v * inv_s) @ u.T
+    return (vt.T * inv_s) @ u.T

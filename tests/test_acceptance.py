@@ -10,20 +10,20 @@ criterion is printed at the end of the session.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sqnn import experiments
+from sqnn.circuit import expectation_batch, gradient_batch
 from sqnn.datasets import gen_sinc
 from sqnn.linalg import lls_solve
 from sqnn.training import GdConfig, gd_train, mse_loss
 
 from conftest import require_dataset
-from oracle import (AngleSet, Observable, QubitState, effective_neuron,
-                    expectation_closed_form, expectation_gradient, expectation_matrix,
-                    neuron_matrix, pinv, rotation_gate)
+from oracle import (AngleSet, Observable, QubitState, central_differences,
+                    effective_neuron, expectation_matrix, neuron_matrix, pinv,
+                    rotation_gate)
 
 ANGLE_FIELDS = ("alpha", "beta", "gamma", "theta", "omega")
 
@@ -47,8 +47,7 @@ def test_c01_closed_form_equals_matrix_path():
     start = time.monotonic()
     worst = 0.0
     for row in angles:
-        a = AngleSet(*row)
-        worst = max(worst, abs(expectation_matrix(a) - expectation_closed_form(a)))
+        worst = max(worst, abs(expectation_matrix(AngleSet(*row)) - expectation_batch(*row)))
     elapsed = time.monotonic() - start
     assert worst <= 1e-10, f"max |matrix - closed| = {worst:.3e}"
     assert elapsed < 5.0, f"10k comparisons took {elapsed:.2f}s (budget 5s)"
@@ -56,16 +55,12 @@ def test_c01_closed_form_equals_matrix_path():
 
 def test_c02_gradient_matches_finite_differences():
     rng = np.random.default_rng(102)
-    step = 1e-6
     for row in rng.uniform(-2 * np.pi, 2 * np.pi, size=(1000, 5)):
-        a = AngleSet(*row)
-        grad = expectation_gradient(a)
+        _, grad = gradient_batch(*row)
+        fd = central_differences(lambda a: expectation_batch(*a), row, step=1e-6)
         for i, name in enumerate(ANGLE_FIELDS):
-            hi = expectation_closed_form(replace(a, **{name: getattr(a, name) + step}))
-            lo = expectation_closed_form(replace(a, **{name: getattr(a, name) - step}))
-            fd = (hi - lo) / (2 * step)
-            assert abs(grad[i] - fd) <= 1e-6, \
-                f"d/d{name}: analytic {grad[i]:.9f} vs fd {fd:.9f}"
+            assert abs(grad[i] - fd[i]) <= 1e-6, \
+                f"d/d{name}: analytic {grad[i]:.9f} vs fd {fd[i]:.9f}"
 
 
 def test_c03_effective_neuron_collapse():
@@ -108,6 +103,8 @@ def test_c04_penrose_and_least_squares_optimality():
         y = rng.normal(size=n)
         s = lls_solve(a, y)
         assert np.max(np.abs(a.T @ (a @ s - y))) <= 1e-6 * (1 + np.max(np.abs(a.T @ y)))
+        np.testing.assert_allclose(s, ap @ y, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(s))))
 
 
 def test_c05_logic_gates_recipe():

@@ -1,7 +1,7 @@
 """Circuit algebra: gates, neurons, observables, expectations, gradients."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,9 +11,8 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from sqnn.circuit import expectation_batch, gradient_batch
 
-from oracle import (AngleSet, Observable, QubitState, effective_neuron,
-                    expectation_closed_form, expectation_gradient, expectation_matrix,
-                    neuron_matrix, rotation_gate)
+from oracle import (AngleSet, Observable, QubitState, central_differences,
+                    effective_neuron, expectation_matrix, neuron_matrix, rotation_gate)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -150,43 +149,38 @@ class TestExpectation:
     def test_ry_pi_flips(self):
         a = AngleSet(beta=np.pi)
         assert expectation_matrix(a) == pytest.approx(-1.0, abs=1e-12)
-        assert expectation_closed_form(a) == pytest.approx(-1.0, abs=1e-12)
+        assert expectation_batch(*astuple(a)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_omega_zero_reduction(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
             alpha, beta, theta = rng.uniform(-7, 7, 3)
-            a = AngleSet(alpha=alpha, beta=beta, theta=theta)
             expected = math.cos(beta) * math.cos(theta) - \
                 math.cos(alpha) * math.sin(beta) * math.sin(theta)
-            assert expectation_closed_form(a) == pytest.approx(expected, abs=1e-12)
+            assert expectation_batch(alpha, beta, 0.0, theta, 0.0) == \
+                pytest.approx(expected, abs=1e-12)
 
     def test_theta_omega_zero_is_cos_beta(self):
         rng = np.random.default_rng(15)
         for beta in rng.uniform(-7, 7, 100):
-            a = AngleSet(alpha=rng.uniform(-7, 7), beta=beta, gamma=rng.uniform(-7, 7))
-            assert expectation_closed_form(a) == pytest.approx(math.cos(beta), abs=1e-12)
-
-    def test_paths_agree(self):
-        rng = np.random.default_rng(16)
-        for row in random_angles(rng, 1000):
-            a = AngleSet(*row)
-            assert abs(expectation_matrix(a) - expectation_closed_form(a)) <= 1e-10
+            alpha, gamma = rng.uniform(-7, 7), rng.uniform(-7, 7)
+            assert expectation_batch(alpha, beta, gamma, 0.0, 0.0) == \
+                pytest.approx(math.cos(beta), abs=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(17)
         for row in random_angles(rng, 2000):
-            assert abs(expectation_closed_form(AngleSet(*row))) <= 1.0 + 1e-12
+            assert abs(expectation_batch(*row)) <= 1.0 + 1e-12
 
     def test_two_pi_periodic(self):
         rng = np.random.default_rng(18)
         fields = ("alpha", "beta", "gamma", "theta", "omega")
         for row in random_angles(rng, 200):
             a = AngleSet(*row)
-            base = expectation_closed_form(a)
+            base = expectation_batch(*row)
             for name in fields:
                 shifted = replace(a, **{name: getattr(a, name) + 2 * np.pi})
-                assert expectation_closed_form(shifted) == pytest.approx(base, abs=1e-10)
+                assert expectation_batch(*astuple(shifted)) == pytest.approx(base, abs=1e-10)
                 assert expectation_matrix(shifted) == pytest.approx(base, abs=1e-10)
 
     def test_global_phase_invariance(self):
@@ -236,28 +230,15 @@ class TestExpectation:
 
 class TestGradient:
     def test_zero_angles_zero_gradient(self):
-        np.testing.assert_allclose(expectation_gradient(AngleSet()),
+        np.testing.assert_allclose(gradient_batch(0.0, 0.0, 0.0, 0.0, 0.0)[1],
                                    np.zeros(5), atol=1e-15)
-
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(22)
-        fields = ("alpha", "beta", "gamma", "theta", "omega")
-        step = 1e-6
-        for row in random_angles(rng, 1000):
-            a = AngleSet(*row)
-            grad = expectation_gradient(a)
-            for i, name in enumerate(fields):
-                hi = expectation_closed_form(replace(a, **{name: getattr(a, name) + step}))
-                lo = expectation_closed_form(replace(a, **{name: getattr(a, name) - step}))
-                assert grad[i] == pytest.approx((hi - lo) / (2 * step), abs=1e-6)
 
     def test_gamma_derivative_vanishes_at_omega_zero(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            a = AngleSet(alpha=rng.uniform(-7, 7), beta=rng.uniform(-7, 7),
-                         gamma=rng.uniform(-7, 7), theta=rng.uniform(-7, 7),
-                         omega=0.0)
-            assert expectation_gradient(a)[2] == pytest.approx(0.0, abs=1e-15)
+            alpha, beta, gamma, theta = rng.uniform(-7, 7, 4)
+            assert gradient_batch(alpha, beta, gamma, theta, 0.0)[1][2] == \
+                pytest.approx(0.0, abs=1e-15)
 
 
 BETAS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -283,19 +264,8 @@ class TestReducedIdentity:
 ANGLES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
-def oracle_value_and_partials(angles):
-    """Matrix-path value and central differences of the matrix path in each
-    of the five angles. The step is taken as the difference of the two
-    rounded arguments, so it stays exact at |angle| near 1e3."""
-    value = expectation_matrix(AngleSet(*angles))
-    partials = []
-    for i in range(5):
-        hi, lo = list(angles), list(angles)
-        hi[i] += 1e-6
-        lo[i] -= 1e-6
-        partials.append((expectation_matrix(AngleSet(*hi))
-                         - expectation_matrix(AngleSet(*lo))) / (hi[i] - lo[i]))
-    return value, partials
+def matrix_path(angles):
+    return expectation_matrix(AngleSet(*angles))
 
 
 def assert_kernels_match_oracle(args):
@@ -306,9 +276,8 @@ def assert_kernels_match_oracle(args):
     assert all(np.shape(d) == shape for d in partials)
     for index in np.ndindex(shape):
         angles = [float(np.broadcast_to(a, shape)[index]) for a in args]
-        want_value, want_partials = oracle_value_and_partials(angles)
-        assert abs(value[index] - want_value) <= 1e-12
-        for d, want in zip(partials, want_partials):
+        assert abs(value[index] - matrix_path(angles)) <= 1e-12
+        for d, want in zip(partials, central_differences(matrix_path, angles)):
             assert abs(d[index] - want) <= 1e-7
 
 

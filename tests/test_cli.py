@@ -13,7 +13,7 @@ from sqnn.cli import main
 from sqnn.datasets import load_csv
 from sqnn.training import GdConfig, LlsConfig, arctanh_labels
 
-from oracle import hstack_design
+from oracle import hstack_design, min_max_scale
 from test_experiments import write_synthetic_mnist
 
 
@@ -88,8 +88,9 @@ class TestTrainEval:
         mse = float(printed[1].split("training mse =")[1].split()[0])
         model = model_io.load(model_path)
         ds = load_csv(data)
-        angle = (hstack_design(model.normalization.apply_features(ds.inputs), 3)
-                 @ model.beta.flat())
+        record = model.normalization
+        scaled = min_max_scale(ds.inputs, record.feature_min, record.feature_max)
+        angle = hstack_design(scaled, 3) @ model.beta.flat()
         rhs = arctanh_labels(ds.targets, model.config["epsilon"])
         # printed with 6 significant digits
         assert residual == pytest.approx(np.mean((angle - rhs) ** 2), rel=1e-5)

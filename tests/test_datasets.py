@@ -1,7 +1,5 @@
 """Dataset container, CSV/IDX loaders, generators, fold plans."""
 
-import gzip
-import struct
 import tracemalloc
 
 import numpy as np
@@ -14,36 +12,35 @@ from sqnn.datasets import (_DCT_CHUNK, Dataset, FoldPlan, filter_pair, gen_logic
                            load_mnist_idx, split)
 from sqnn.features import dct_features
 
+from conftest import write_idx_pair
 from oracle import dct2
-
-
-def write_idx_pair(tmp_path, images, labels, *, compress=False,
-                   image_magic=0x803, label_magic=0x801, label_count=None):
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    n, rows, cols = images.shape
-    img_bytes = struct.pack(">IIII", image_magic, n, rows, cols) + images.tobytes()
-    lab_bytes = struct.pack(">II", label_magic,
-                            n if label_count is None else label_count) + labels.tobytes()
-    suffix = ".gz" if compress else ""
-    img_path = tmp_path / f"images-idx3-ubyte{suffix}"
-    lab_path = tmp_path / f"labels-idx1-ubyte{suffix}"
-    opener = gzip.open if compress else open
-    with opener(img_path, "wb") as fh:
-        fh.write(img_bytes)
-    with opener(lab_path, "wb") as fh:
-        fh.write(lab_bytes)
-    return img_path, lab_path
 
 
 class TestDataset:
     def test_validation(self):
         with pytest.raises(ValueError, match="targets"):
             Dataset(inputs=np.ones((2, 1)), targets=np.array([0.5, 1.5]))
-        with pytest.raises(ValueError, match="non-finite"):
-            Dataset(inputs=np.array([[np.nan]]), targets=np.array([0.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset(inputs=np.array([[0.0, 1.0], [2.0, bad]]), targets=np.zeros(2))
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset(inputs=np.ones((2, 1)), targets=np.array([0.0, bad]))
         with pytest.raises(ValueError, match="non-empty"):
             Dataset(inputs=np.empty((0, 2)), targets=np.empty(0))
+
+    def test_finiteness_check_makes_no_mask_of_the_inputs(self):
+        # tracemalloc counts numpy's allocations: an isfinite mask of the
+        # inputs would take one byte per entry
+        X = np.random.default_rng(0).uniform(-1, 1, (2_000, 784))
+        y = np.zeros(2_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            Dataset(inputs=X, targets=y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < X.size // 8
 
     def test_subset_keeps_metadata(self):
         ds = Dataset(inputs=np.arange(8.0).reshape(4, 2),
@@ -376,8 +373,8 @@ class TestFilterPair:
 
     def test_peak_memory_stays_near_the_features(self):
         # one chunk's float pixels and transform, not three full-size
-        # arrays; the bound leaves room for the Dataset's own finiteness
-        # check (an eighth of the features) and its targets
+        # arrays; the bound leaves room for the Dataset's targets (the
+        # Dataset's finiteness check makes no mask of the features)
         images = byte_images(7, (12_000, 8, 8))
         labels = np.arange(12_000) % 2
         tracemalloc.start()
@@ -515,7 +512,7 @@ class TestFolds:
 
     def test_stratified_counts(self):
         labels = np.array([1.0] * 60 + [-1.0] * 40)
-        plan = kfold_plan(100, k=10, stratified=True, seed=2, labels=labels)
+        plan = kfold_plan(100, k=10, seed=2, labels=labels)
         for fold in plan.folds:
             pos = int(np.sum(labels[fold] == 1))
             neg = int(np.sum(labels[fold] == -1))
@@ -527,7 +524,7 @@ class TestFolds:
     def test_stratified_ragged_classes(self):
         rng = np.random.default_rng(3)
         labels = np.where(rng.uniform(size=53) < 0.37, 1.0, -1.0)
-        plan = kfold_plan(53, k=7, stratified=True, seed=3, labels=labels)
+        plan = kfold_plan(53, k=7, seed=3, labels=labels)
         union = np.sort(np.concatenate(plan.folds))
         np.testing.assert_array_equal(union, np.arange(53))
         sizes = [f.size for f in plan.folds]
@@ -540,8 +537,7 @@ class TestFolds:
         k = data.draw(st.integers(2, min(n, 13)), label="k")
         labels = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]),
                                              min_size=n, max_size=n), label="labels"))
-        plan = kfold_plan(n, k=k, stratified=stratified, seed=seed,
-                          labels=labels if stratified else None)
+        plan = kfold_plan(n, k=k, seed=seed, labels=labels if stratified else None)
         rows = np.concatenate(plan.folds)
         np.testing.assert_array_equal(np.sort(rows), np.arange(n))  # disjoint and covering
         sizes = [f.size for f in plan.folds]
@@ -564,7 +560,7 @@ class TestFolds:
     def test_split_disjoint_and_complete(self):
         ds = gen_two_moons(n=33, noise=0.05, seed=7)
         for plan in (kfold_plan(33, k=5, seed=5),
-                     kfold_plan(33, k=5, stratified=True, seed=5, labels=ds.targets)):
+                     kfold_plan(33, k=5, seed=5, labels=ds.targets)):
             for fold in range(5):
                 train, test = split(ds, plan, fold)
                 assert train.n + test.n == 33

@@ -8,9 +8,7 @@ the numbers. The numbers are checked in test_acceptance.py when the
 real files are present.
 """
 
-import gzip
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -18,6 +16,8 @@ import pytest
 from sqnn import experiments
 from sqnn.experiments import (MissingData, RecipeResult, available_recipes,
                               load_recipe, resolve_data_dir, run_recipe)
+
+from conftest import write_idx_pair
 
 
 def test_all_recipes_listed_and_versioned():
@@ -169,7 +169,7 @@ def write_synthetic_mnist(tmp_path, n_train=120, n_test=40, seed=0):
     half, plus noise. Distinguishable, so the pipeline should learn."""
     rng = np.random.default_rng(seed)
 
-    def make(n, name_images, name_labels):
+    def make(n, prefix):
         labels = rng.integers(0, 2, n).astype(np.uint8)
         images = rng.integers(0, 60, (n, 28, 28)).astype(np.uint8)
         for i, lab in enumerate(labels):
@@ -177,15 +177,10 @@ def write_synthetic_mnist(tmp_path, n_train=120, n_test=40, seed=0):
                 images[i, :14, :] = np.minimum(255, images[i, :14, :] + 150)
             else:
                 images[i, :, :14] = np.minimum(255, images[i, :, :14] + 150)
-        img_bytes = struct.pack(">IIII", 0x803, n, 28, 28) + images.tobytes()
-        lab_bytes = struct.pack(">II", 0x801, n) + labels.tobytes()
-        with gzip.open(tmp_path / name_images, "wb") as fh:
-            fh.write(img_bytes)
-        with gzip.open(tmp_path / name_labels, "wb") as fh:
-            fh.write(lab_bytes)
+        write_idx_pair(tmp_path, images, labels, prefix=prefix, compress=True)
 
-    make(n_train, "train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte.gz")
-    make(n_test, "t10k-images-idx3-ubyte.gz", "t10k-labels-idx1-ubyte.gz")
+    make(n_train, "train-")
+    make(n_test, "t10k-")
 
 
 def test_mnist_recipe_machinery(monkeypatch, tmp_path):

@@ -13,10 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 import sqnn
 from sqnn.datasets import load_csv
-from sqnn.features import (NormalizationRecord, PolynomialWeightFunction,
+from sqnn.features import (NormalizationRecord, PolynomialWeightFunction, _power_design,
                            build_design_matrix, dct_features, eval_angle)
 
-from oracle import dct2, fit_feature_scaling, hstack_design, idct2, poly_angle
+from oracle import dct2, hstack_design, idct2, poly_angle
 
 
 def horner_eval(f, x):
@@ -160,15 +160,17 @@ class TestDesignMatrix:
 class TestNormalization:
     def test_affine_endpoints(self):
         inputs = np.array([[0.0], [5.0], [10.0]])
-        record = fit_feature_scaling(inputs)
+        record = NormalizationRecord(inputs.min(axis=0), inputs.max(axis=0))
         np.testing.assert_allclose(record.apply_features(inputs).ravel(),
                                    [-1.0, 0.0, 1.0], atol=1e-15)
-        assert record.feature_min[0] == 0.0
-        assert record.feature_max[0] == 10.0
+        # the trainers fit the same bounds
+        _, lo, hi = _power_design(inputs, 1, "fit")
+        assert (lo[0], hi[0]) == (0.0, 10.0)
 
     def test_constant_column_maps_to_zero(self, tmp_path):
         inputs = np.array([[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]])
-        scaled = fit_feature_scaling(inputs).apply_features(inputs)
+        record = NormalizationRecord(inputs.min(axis=0), inputs.max(axis=0))
+        scaled = record.apply_features(inputs)
         np.testing.assert_array_equal(scaled[:, 0], np.zeros(3))
         # the same zero-width rule for targets, at load time and on a record
         path = tmp_path / "constant.csv"
@@ -190,13 +192,13 @@ class TestNormalization:
         assert scaled.min() == -1.0 and scaled.max() == 1.0
 
     def test_record_reuse_on_new_data(self):
-        record = fit_feature_scaling(np.array([[0.0], [10.0]]))
+        record = NormalizationRecord(np.array([0.0]), np.array([10.0]))
         np.testing.assert_allclose(record.apply_features(np.array([[15.0]])),
                                    [[2.0]], atol=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fit_feature_scaling(np.empty((0, 3)))
+        with pytest.raises(ValueError, match="non-empty"):
+            _power_design(np.empty((0, 3)), 1, "fit")
 
     def test_missing_target_scaling_rejected(self):
         record = NormalizationRecord(feature_min=np.zeros(1), feature_max=np.ones(1))

@@ -276,7 +276,7 @@ def test_wdbc_coefficients_match_an_unguarded_solve(monkeypatch, data_dir):
     data = datasets.load_csv(data_dir / "wdbc.data", target_column=1, has_header=False,
                              drop_cols=(0,), label_map={"M": 1, "B": -1},
                              scale_targets=False)
-    plan = datasets.kfold_plan(data.n, k=10, stratified=True, seed=0, labels=data.targets)
+    plan = datasets.kfold_plan(data.n, k=10, seed=0, labels=data.targets)
     for K in (1, 2, 3, 4, 10):
         config = training.LlsConfig(K=K, epsilon=1e-16)
         for fold in range(plan.k):

@@ -11,23 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqnn import linalg
+from sqnn.circuit import expectation_batch
 from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
 from sqnn.features import (_TILE_CELLS, PolynomialWeightFunction, _power_design,
                            build_design_matrix, eval_angle)
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
                            TrainingDiverged, _cos_and_sin, _design,
-                           arctanh_labels, gd_train, hinge_loss, lls_train,
+                           _loss_and_residual, arctanh_labels, gd_train, lls_train,
                            mse_loss, trainer_config)
 
-from oracle import (AngleSet, expectation_closed_form, fit_feature_scaling,
-                    hstack_design, poly_angle, reference_gd_reduced,
+from oracle import (central_differences, hstack_design, min_max_scale, poly_angle,
+                    reference_gd_reduced, reference_init, reference_loss,
                     reference_predict)
-
-
-def replica_init(config: GdConfig, n_params: int) -> np.ndarray:
-    """Reproduce the trainer's seeded initialization."""
-    rng = np.random.default_rng(config.seed)
-    return rng.uniform(-config.init_scale, config.init_scale, n_params)
 
 
 def make_dataset(rng, n=12, p=2, classification=False):
@@ -37,6 +32,20 @@ def make_dataset(rng, n=12, p=2, classification=False):
     else:
         y = rng.uniform(-1, 1, n)
     return Dataset(inputs=X, targets=y)
+
+
+def scaled_like(model, x):
+    """x scaled by the model's stored feature bounds."""
+    record = model.normalization
+    return min_max_scale(x, record.feature_min, record.feature_max)
+
+
+def hinge(predictions, targets):
+    """The trainer's hinge loss and its derivative in the predictions,
+    scale * res, from a copy of the predictions."""
+    loss, res, scale = _loss_and_residual("hinge", np.array(predictions, dtype=float),
+                                          np.asarray(targets, dtype=float))
+    return loss, scale * res
 
 
 class TestLosses:
@@ -57,10 +66,10 @@ class TestLosses:
             assert mse_loss(p, t) == pytest.approx(acc / n, rel=1e-12)
 
     def test_hinge_zero_when_margins_met(self):
-        assert hinge_loss([1.0, -1.0, 1.0], [1.0, -1.0, 1.0]) == 0.0
+        assert hinge([1.0, -1.0, 1.0], [1.0, -1.0, 1.0])[0] == 0.0
 
     def test_hinge_hand_case(self):
-        assert hinge_loss([0.0], [1.0]) == pytest.approx(1.0, abs=1e-15)
+        assert hinge([0.0], [1.0])[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_hinge_matches_accumulation(self):
         rng = np.random.default_rng(1)
@@ -69,20 +78,21 @@ class TestLosses:
             p = rng.uniform(-2, 2, n)
             t = rng.choice([-1.0, 1.0], n)
             acc = sum(max(0.0, 1.0 - a * b) for a, b in zip(p, t))
-            assert hinge_loss(p, t) == pytest.approx(acc / n, rel=1e-12)
+            loss, derivative = hinge(p, t)
+            assert loss == pytest.approx(acc / n, rel=1e-12)
+            np.testing.assert_allclose(derivative, reference_loss("hinge", p, t)[1],
+                                       rtol=1e-15, atol=0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             mse_loss([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="mismatch"):
-            hinge_loss([1.0], [1.0, 2.0])
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             p, t = rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10)
             assert mse_loss(p, t) >= 0.0
-            assert hinge_loss(p, t) >= 0.0
+            assert hinge(p, t)[0] >= 0.0
 
 
 class TestGdTrain:
@@ -123,7 +133,7 @@ class TestGdTrain:
                            targets=[rng.uniform(-1, 1)])
             config = GdConfig(learning_rate=1e-3, max_epochs=1, seed=seed,
                               init_scale=0.5, normalize=False)
-            w0 = replica_init(config, 3)
+            w0 = reference_init(config, 3)
             design = build_design_matrix(data.inputs, 1)
             loss0 = mse_loss(np.cos(design @ w0), data.targets)
             _, history = gd_train(data, config, model_shape="reduced")
@@ -141,7 +151,7 @@ class TestGdTrain:
 
     def test_reduced_chain_rule_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        step, checked = 1e-6, 0
+        checked = 0
         for trial in range(100):
             K = int(rng.integers(1, 4))
             p = int(rng.integers(1, 4))
@@ -150,18 +160,13 @@ class TestGdTrain:
             config = GdConfig(learning_rate=0.05, max_epochs=1, seed=trial,
                               init_scale=0.5, K=K, normalize=False)
             n_coef = 1 + K * p
-            w0 = replica_init(config, n_coef)
+            w0 = reference_init(config, n_coef)
             design = build_design_matrix(data.inputs, K)
 
             def loss_at(w):
                 return mse_loss(np.cos(design @ w), data.targets)
 
-            fd = np.empty(n_coef)
-            for i in range(n_coef):
-                up, dn = w0.copy(), w0.copy()
-                up[i] += step
-                dn[i] -= step
-                fd[i] = (loss_at(up) - loss_at(dn)) / (2 * step)
+            fd = central_differences(loss_at, w0)
             model, _ = gd_train(data, config, model_shape="reduced")
             taken = (w0 - model.beta.flat()) / config.learning_rate
             np.testing.assert_allclose(taken, fd, atol=1e-6)
@@ -206,30 +211,23 @@ class TestGdTrain:
 
     def test_full_chain_rule_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        step = 1e-6
         for trial in range(20):
             p = int(rng.integers(1, 3))
             data = make_dataset(rng, n=6, p=p)
             config = GdConfig(learning_rate=0.05, max_epochs=1, seed=trial,
                               init_scale=0.5, K=1, normalize=False)
             n_coef = 1 + p
-            w0 = replica_init(config, 3 * n_coef + 2)
+            w0 = reference_init(config, 3 * n_coef + 2)
             design = build_design_matrix(data.inputs, 1)
 
             def loss_at(w):
-                from sqnn.circuit import expectation_batch
                 al = design @ w[:n_coef]
                 be = design @ w[n_coef:2 * n_coef]
                 ga = design @ w[2 * n_coef:3 * n_coef]
                 return mse_loss(expectation_batch(al, be, ga, w[-2], w[-1]),
                                 data.targets)
 
-            fd = np.empty(w0.size)
-            for i in range(w0.size):
-                up, dn = w0.copy(), w0.copy()
-                up[i] += step
-                dn[i] -= step
-                fd[i] = (loss_at(up) - loss_at(dn)) / (2 * step)
+            fd = central_differences(loss_at, w0)
             model, _ = gd_train(data, config, model_shape="full")
             w1 = np.concatenate([model.alpha.flat(), model.beta.flat(),
                                  model.gamma.flat(), [model.theta, model.omega]])
@@ -268,15 +266,10 @@ class TestDesign:
         design, record = _design(data, K, normalize)
         X = data.inputs
         if normalize:
-            fitted = fit_feature_scaling(X)
-            np.testing.assert_array_equal(record.feature_min, fitted.feature_min)
-            np.testing.assert_array_equal(record.feature_max, fitted.feature_max)
-            X = fitted.apply_features(X)
-            # the scaling's own operation order, written out
-            span = fitted.feature_max - fitted.feature_min
-            with np.errstate(invalid="ignore", divide="ignore"):
-                plain = 2.0 * (data.inputs - fitted.feature_min) / span - 1.0
-            np.testing.assert_array_equal(X, np.where(span > 0, plain, 0.0))
+            lo, hi = X.min(axis=0), X.max(axis=0)
+            np.testing.assert_array_equal(record.feature_min, lo)
+            np.testing.assert_array_equal(record.feature_max, hi)
+            X = min_max_scale(X, lo, hi)
         np.testing.assert_array_equal(design, hstack_design(X, K))
         assert design.flags.f_contiguous
         return design, record
@@ -336,15 +329,13 @@ class TestDesign:
     def test_stored_bounds_equal_the_plain_path(self):
         # prediction scales a new batch by the fitted bounds, outside [-1, 1]
         rng = np.random.default_rng(45)
-        fitted = fit_feature_scaling(rng.uniform(-1, 1, (50, 784)))
+        fitted = rng.uniform(-1, 1, (50, 784))
+        lo, hi = fitted.min(axis=0), fitted.max(axis=0)
         X = rng.uniform(-2, 2, (2 * self.TILE + 3, 784))
-        fitted.feature_min[3] = fitted.feature_max[3] = X[:, 3] = 0.5  # zero width
-        design, lo, hi = _power_design(X, 2, (fitted.feature_min, fitted.feature_max))
-        assert lo is fitted.feature_min and hi is fitted.feature_max
-        span = hi - lo
-        with np.errstate(invalid="ignore", divide="ignore"):
-            plain = np.where(span > 0, 2.0 * (X - lo) / span - 1.0, 0.0)
-        np.testing.assert_array_equal(design, hstack_design(plain, 2))
+        lo[3] = hi[3] = X[:, 3] = 0.5  # zero width
+        design, got_lo, got_hi = _power_design(X, 2, (lo, hi))
+        assert got_lo is lo and got_hi is hi
+        np.testing.assert_array_equal(design, hstack_design(min_max_scale(X, lo, hi), 2))
         assert design.flags.f_contiguous
 
     def test_makes_no_scaled_copy_of_the_inputs(self):
@@ -396,7 +387,7 @@ class TestPredictionPaths:
         model, _ = gd_train(data, GdConfig(max_epochs=3, seed=5, K=2),
                             model_shape="reduced")
         for x in rng.uniform(-1, 1, (50, 3)):
-            scaled = model.normalization.apply_features(x)
+            scaled = scaled_like(model, x)
             assert model.predict(x) == pytest.approx(
                 math.cos(poly_angle(model.beta, scaled)), abs=1e-12)
 
@@ -406,13 +397,12 @@ class TestPredictionPaths:
         model, _ = gd_train(data, GdConfig(max_epochs=3, seed=6),
                             model_shape="full")
         for x in rng.uniform(-1, 1, (50, 2)):
-            scaled = model.normalization.apply_features(x)
-            angles = AngleSet(alpha=poly_angle(model.alpha, scaled),
-                              beta=poly_angle(model.beta, scaled),
-                              gamma=poly_angle(model.gamma, scaled),
-                              theta=model.theta, omega=model.omega)
-            assert model.predict(x) == pytest.approx(
-                expectation_closed_form(angles), abs=1e-12)
+            scaled = scaled_like(model, x)
+            value = expectation_batch(poly_angle(model.alpha, scaled),
+                                      poly_angle(model.beta, scaled),
+                                      poly_angle(model.gamma, scaled),
+                                      model.theta, model.omega)
+            assert model.predict(x) == pytest.approx(value, abs=1e-12)
 
     @pytest.mark.parametrize("case", ["scaled", "unscaled-with-target-range",
                                       "constant-column"])
@@ -534,8 +524,7 @@ class TestLlsTrain:
                                 p=int(rng.integers(1, 4)), classification=True)
             config = LlsConfig(K=int(rng.integers(1, 4)))
             model = lls_train(data, config)
-            u = model.normalization.apply_features(data.inputs)
-            design = build_design_matrix(u, config.K)
+            design = hstack_design(scaled_like(model, data.inputs), config.K)
             rhs = arctanh_labels(data.targets, config.epsilon)
             grad = design.T @ (design @ model.beta.flat() - rhs)
             assert np.max(np.abs(grad)) <= 1e-6 * (1 + np.max(np.abs(design.T @ rhs)))
@@ -547,8 +536,7 @@ class TestLlsTrain:
         for K in range(1, 6):
             config = LlsConfig(K=K)
             model = lls_train(data, config)
-            u = model.normalization.apply_features(data.inputs)
-            design = build_design_matrix(u, K)
+            design = hstack_design(scaled_like(model, data.inputs), K)
             rhs = arctanh_labels(data.targets, config.epsilon)
             residuals.append(float(np.sum((design @ model.beta.flat() - rhs) ** 2)))
         for prev, nxt in zip(residuals, residuals[1:]):
@@ -559,7 +547,7 @@ class TestLlsTrain:
         data = make_dataset(rng, n=25, p=2, classification=True)
         model = lls_train(data, LlsConfig(K=2))
         for x in rng.uniform(-1, 1, (20, 2)):
-            scaled = model.normalization.apply_features(x)
+            scaled = scaled_like(model, x)
             assert model.predict(x) == pytest.approx(
                 math.cos(math.acos(np.tanh(poly_angle(model.beta, scaled)))), abs=1e-12)
 
