@@ -13,8 +13,10 @@ five angles are rotations of one chain. The forward pass carries n
 through Rz(alpha), Ry(beta) and Rz(gamma). The reverse pass pulls m back
 through the same rotations. Each partial derivative is the pulled-back
 m dotted with the rotation axis crossed with the forward vector at that
-angle. The test suite checks the value and the partials against
-explicit 2x2 matrix products (tests/oracle.py).
+angle. Every (cos, sin) pair comes from the tangent of the half angle
+(_cos_and_sin), the rule the reduced trainer and its prediction use too.
+The test suite checks the value and the partials against explicit 2x2
+matrix products (tests/oracle.py).
 """
 
 from __future__ import annotations
@@ -46,13 +48,26 @@ def _dy(m, v):
     return m[0] * v[2] - m[2] * v[0]
 
 
+def _cos_and_sin(half, out=None):
+    """cos and sin of 2 half from t = tan(half): with r = 2 / (1 + t^2),
+    cos = r - 1 and sin = t r (numpy vectorises float64 tan but not sin
+    and cos). In place: half ends up holding sin, cos goes to `out`."""
+    t = np.tan(half, out=half)
+    r = np.square(t, out=np.empty_like(t) if out is None else out)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    t *= r
+    r -= 1.0
+    return r, t
+
+
 def _forward(alpha, beta, gamma, theta, omega):
     """The expectation, plus what the reverse pass needs: each rotation's
     (cos, sin), the input and observable vectors, and the Bloch vector
     after each rotation."""
-    trig = [(np.cos(a), np.sin(a)) for a in (alpha, beta, gamma)]
-    n = (np.sin(theta), 0.0, np.cos(theta))
-    m = (-np.sin(omega), 0.0, np.cos(omega))
+    trig = list(zip(*_cos_and_sin(0.5 * np.array(np.broadcast_arrays(alpha, beta, gamma)))))
+    (ct, co), (st, so) = _cos_and_sin(0.5 * np.array(np.broadcast_arrays(theta, omega)))
+    n, m = (st, 0.0, ct), (-so, 0.0, co)
     v1 = _rz(*trig[0], n)
     v2 = _ry(*trig[1], v1)
     v3 = _rz(*trig[2], v2)

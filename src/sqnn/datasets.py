@@ -151,7 +151,8 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     non-finite ("nan", "inf") cell in a kept column, raises ValueError.
     `drop_cols` removes columns (indices or header names) before the
     target is resolved; `drop_sparse_cols=t` additionally removes feature
-    columns whose missing fraction exceeds t; at least one feature column
+    columns whose missing fraction exceeds t (the target column is exempt,
+    so a missing target drops its row); at least one feature column
     must be left. `has_header=None` takes the first row for a header when
     none of its cells is a number, and raises ValueError when it mixes
     numbers and text. `scale_targets` is "auto" (rescale to [-1, 1] only
@@ -192,14 +193,11 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     # one pass per column: strip, find the missing markers, convert
     columns = [[cell.strip() for cell in column] for column in zip(*rows)]
     del rows
-    dropped_cols = sorted({resolve(c) for c in drop_cols})
-    if drop_sparse_cols is not None:
-        gaps = np.array([sum(cell in MISSING_MARKERS for cell in column)
-                         for column in columns])
-        sparse = np.where(gaps / n > drop_sparse_cols)[0]
-        dropped_cols = sorted(set(dropped_cols) | set(sparse.tolist()))
-
+    dropped_cols = {resolve(c) for c in drop_cols}
     target_idx = resolve(target_column)
+    if drop_sparse_cols is not None:
+        dropped_cols |= {j for j, column in enumerate(columns) if j != target_idx and
+                         sum(cell in MISSING_MARKERS for cell in column) / n > drop_sparse_cols}
     if target_idx in dropped_cols:
         raise ValueError(f"{path}: target column {target_column!r} was dropped")
     keep = [j for j in range(ncols) if j not in dropped_cols]

@@ -4,13 +4,14 @@ Two trainers are provided. Gradient descent minimizes a batch loss over
 the coefficients of polynomial angle functions (and, for the five-angle
 network, the scalar state and observable angles), using the analytic
 circuit derivatives chained with d(angle)/d(c_kj) = x_j^k. Per epoch, the
-reduced network's cos(beta) and -sin(beta) come from one tan(beta / 2)
-into buffers made once per fit, the five-angle network's value and
-partials from one pass of the circuit's Bloch-vector chain, and the
-loss's 2/n or -1/n goes on the coefficient gradient. The one-shot
-least-squares trainer maps labels through arctanh and solves for the
-polynomial coefficients with a pseudoinverse, which is a global minimum
-of the squared error in the transformed space.
+reduced network's cos(beta) and -sin(beta) come from the circuit's
+half-angle rule into buffers made once per fit, and so does its
+prediction; the five-angle network's value and partials come from one
+pass of the Bloch-vector chain; the loss's 2/n or -1/n goes on the
+coefficient gradient. The one-shot least-squares trainer maps labels
+through arctanh and solves for the polynomial coefficients with a
+pseudoinverse, which is a global minimum of the squared error in the
+transformed space.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class TrainedModel:
         if self.kind == "lls":
             out = np.tanh(design @ self.beta.flat())
         elif self.kind == "gd-reduced":
-            out = np.cos(design @ self.beta.flat())
+            out = circuit._cos_and_sin(design @ (-0.5 * self.beta.flat()))[0]
         else:
             out = circuit.expectation_batch(
                 design @ self.alpha.flat(), design @ self.beta.flat(),
@@ -226,20 +227,6 @@ def _design(data, K: int, normalize: bool):
     return design, record if normalize or target_range is not None else None
 
 
-def _cos_and_sin(half, out=None):
-    """cos and sin of beta = 2 half from t = tan(half): with
-    r = 2 / (1 + t^2), cos = r - 1 and sin = t r. numpy vectorises
-    float64 tan but not sin and cos. Works in place: half ends up
-    holding sin(beta), and cos goes to `out` (new when None)."""
-    t = np.tan(half, out=half)
-    r = np.square(t, out=np.empty_like(t) if out is None else out)
-    r += 1.0
-    np.divide(2.0, r, out=r)
-    t *= r
-    r -= 1.0
-    return r, t
-
-
 def _reduced_value_and_grad(design):
     """value_and_grad(w) for cos(beta), beta = design @ w: the |0> input
     measured in the computational basis after Ry(beta). Equals the
@@ -253,7 +240,7 @@ def _reduced_value_and_grad(design):
 
     def value_and_grad(w):
         np.multiply(w, -0.5, out=half_w)
-        _cos_and_sin(np.matmul(design, half_w, out=dcos), out=cos)
+        circuit._cos_and_sin(np.matmul(design, half_w, out=dcos), out=cos)
         return cos, lambda res: np.matmul(np.multiply(dcos, res, out=dcos), design, out=grad)
 
     return value_and_grad

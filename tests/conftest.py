@@ -49,6 +49,24 @@ def data_dir() -> Path:
                                Path(__file__).resolve().parent.parent / "data"))
 
 
+@pytest.fixture(scope="session")
+def recipe_run(data_dir):
+    """run(name) -> the RecipeResult of recipe `name`, run once per
+    session: the acceptance tests and the golden-value test share it. A
+    recipe whose data files are missing skips the calling test."""
+    runs = {}
+
+    def run(name: str):
+        if name not in runs:
+            try:
+                runs[name] = experiments.run_recipe(name, data_dir=data_dir)
+            except experiments.MissingData as exc:  # pragma: no cover - data-dependent
+                pytest.skip(str(exc))
+        return runs[name]
+
+    return run
+
+
 def require_dataset(name: str, directory: Path):
     """Skip the calling test when the dataset's files are missing."""
     try:

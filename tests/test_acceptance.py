@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from sqnn import experiments
 from sqnn.circuit import expectation_batch, gradient_batch
 from sqnn.datasets import gen_sinc
 from sqnn.linalg import lls_solve
@@ -26,13 +25,6 @@ from oracle import (AngleSet, Observable, QubitState, central_differences,
                     rotation_gate)
 
 ANGLE_FIELDS = ("alpha", "beta", "gamma", "theta", "omega")
-
-
-def run_recipe_or_skip(name, data_dir=None, **kwargs):
-    try:
-        return experiments.run_recipe(name, data_dir=data_dir, **kwargs)
-    except experiments.MissingData as exc:  # pragma: no cover - data-dependent
-        pytest.skip(str(exc))
 
 
 def assert_recipe_passed(result):
@@ -107,8 +99,8 @@ def test_c04_penrose_and_least_squares_optimality():
                                    atol=1e-12 * max(1.0, np.max(np.abs(s))))
 
 
-def test_c05_logic_gates_recipe():
-    result = run_recipe_or_skip("table1")
+def test_c05_logic_gates_recipe(recipe_run):
+    result = recipe_run("table1")
     assert_recipe_passed(result)
     assert result.elapsed < 10.0, f"gates took {result.elapsed:.1f}s (budget 10s)"
 
@@ -128,54 +120,54 @@ def test_c06_sinc_reduced_single_power_as_stated():
     assert test_mse <= 5e-3, f"test MSE {test_mse:.4f} (family optimum ~0.126)"
 
 
-def test_c06_sinc_five_angle_neuron():
-    result = run_recipe_or_skip("fig5-sinc")
+def test_c06_sinc_five_angle_neuron(recipe_run):
+    result = recipe_run("fig5-sinc")
     assert_recipe_passed(result)
     assert result.values["clean.test_mse"] <= 5e-3
     assert result.values["noisy.test_mse"] <= 1e-2
     assert result.elapsed < 120.0, f"sinc took {result.elapsed:.1f}s (budget 2min)"
 
 
-def test_c07_ccpp_crossval(data_dir):
+def test_c07_ccpp_crossval(data_dir, recipe_run):
     require_dataset("ccpp", data_dir)
     start = time.monotonic()
-    result = run_recipe_or_skip("table2-ccpp", data_dir=data_dir)
+    result = recipe_run("table2-ccpp")
     assert_recipe_passed(result)
     assert 0.004 <= result.values["K1.test_mse.mean"] <= 0.009
     assert 0.002 <= result.values["K6.test_mse.mean"] <= 0.006
     assert time.monotonic() - start < 600.0
 
 
-def test_c08_communities_crossval(data_dir):
+def test_c08_communities_crossval(data_dir, recipe_run):
     require_dataset("communities", data_dir)
     start = time.monotonic()
-    result = run_recipe_or_skip("table3-crime", data_dir=data_dir)
+    result = recipe_run("table3-crime")
     assert_recipe_passed(result)
     assert 0.03 <= result.values["K1.test_mse.mean"] <= 0.06
     assert result.values["K6.test_mse.mean"] > result.values["K1.test_mse.mean"]
     assert time.monotonic() - start < 600.0
 
 
-def test_c09_two_moons_recipe():
-    result = run_recipe_or_skip("table4-moons")
+def test_c09_two_moons_recipe(recipe_run):
+    result = recipe_run("table4-moons")
     assert_recipe_passed(result)
     assert result.values["K4.accuracy"] >= 0.99
     assert 0.80 <= result.values["K1.accuracy"] <= 0.95
     assert result.elapsed < 5.0, f"moons took {result.elapsed:.1f}s (budget 5s)"
 
 
-def test_c10_wbcd_crossval(data_dir):
+def test_c10_wbcd_crossval(data_dir, recipe_run):
     require_dataset("wdbc", data_dir)
-    result = run_recipe_or_skip("table5-wbcd", data_dir=data_dir)
+    result = recipe_run("table5-wbcd")
     assert_recipe_passed(result)
     assert 0.92 <= result.values["K2.accuracy.mean"] <= 0.99
     assert result.values["K2.accuracy.std"] <= 0.06
     assert result.elapsed < 30.0, f"wbcd took {result.elapsed:.1f}s (budget 30s)"
 
 
-def test_c11_mnist_pairs(data_dir):
+def test_c11_mnist_pairs(data_dir, recipe_run):
     require_dataset("mnist", data_dir)
-    result = run_recipe_or_skip("table6-mnist", data_dir=data_dir)
+    result = recipe_run("table6-mnist")
     assert_recipe_passed(result)
     bounds = {"0v1": 0.995, "2v3": 0.97, "3v5": 0.955, "7v9": 0.96}
     for pair, minimum in bounds.items():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
-from sqnn.circuit import expectation_batch, gradient_batch
+from sqnn.circuit import _cos_and_sin, expectation_batch, gradient_batch
 
 from oracle import (AngleSet, Observable, QubitState, central_differences,
                     effective_neuron, expectation_matrix, neuron_matrix, rotation_gate)
@@ -246,19 +246,22 @@ BETAS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity
 
 class TestReducedIdentity:
     """With alpha = gamma = theta = omega = 0 the five-angle kernels are
-    exactly cos(beta) and -sin(beta), the reduced network's value (which
-    its prediction computes directly) and derivative, bit for bit."""
+    exactly the cos(beta) and -sin(beta) of the package's one half-angle
+    rule, the reduced network's value and derivative as its trainer and
+    its prediction compute them, bit for bit."""
 
     @given(BETAS)
     def test_scalar(self, beta):
-        assert expectation_batch(0, beta, 0, 0, 0) == np.cos(beta)
-        assert gradient_batch(0, beta, 0, 0, 0)[1][1] == -np.sin(beta)
+        cos, sin = _cos_and_sin(np.array(0.5 * beta))
+        assert expectation_batch(0, beta, 0, 0, 0) == cos
+        assert gradient_batch(0, beta, 0, 0, 0)[1][1] == -sin
 
     @given(st.lists(BETAS, min_size=1, max_size=64))
     def test_array(self, betas):
         beta = np.array(betas)
-        assert np.array_equal(expectation_batch(0.0, beta, 0.0, 0.0, 0.0), np.cos(beta))
-        assert np.array_equal(gradient_batch(0.0, beta, 0.0, 0.0, 0.0)[1][1], -np.sin(beta))
+        cos, sin = _cos_and_sin(0.5 * beta)
+        assert np.array_equal(expectation_batch(0.0, beta, 0.0, 0.0, 0.0), cos)
+        assert np.array_equal(gradient_batch(0.0, beta, 0.0, 0.0, 0.0)[1][1], -sin)
 
 
 ANGLES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)

@@ -127,6 +127,16 @@ class TestLoadCsv:
         assert ds.n == 10
         assert ds.dropped_rows == 0
 
+    def test_sparse_rule_leaves_the_target_column(self, tmp_path):
+        # 3 of 5 targets missing: above t, but the rule removes feature
+        # columns only, so those rows drop like any row with a gap
+        path = tmp_path / "t.csv"
+        path.write_text("0.1,0.2,?\n0.3,0.4,0.5\n0.5,0.6,?\n0.7,0.8,-0.5\n0.9,1.0,?\n")
+        ds = load_csv(path, drop_sparse_cols=0.5)
+        assert (ds.n, ds.p, ds.dropped_rows) == (2, 2, 3)
+        np.testing.assert_array_equal(ds.inputs, [[0.3, 0.4], [0.7, 0.8]])
+        np.testing.assert_array_equal(ds.targets, [0.5, -0.5])
+
     @pytest.mark.parametrize("drop_sparse_cols", [None, 0.5])
     def test_ragged_row_rejected(self, tmp_path, drop_sparse_cols):
         # the sparse-column scan must not index past the first row's width

@@ -153,6 +153,20 @@ class TestLlsSolve:
             via_normal = pinv(a.T @ a) @ a.T @ y
             np.testing.assert_allclose(direct, via_normal, atol=1e-6)
 
+    def test_keeps_a_singular_value_just_above_the_default_threshold(self):
+        # s_min sits 1e3 times above the default threshold eps * max(m, n)
+        # * s_max (written out, so the pin holds the value), so the solve
+        # reaches a right-hand side along its left singular vector; a
+        # threshold 1e6 times larger drops it
+        rng = np.random.default_rng(8)
+        u, _ = np.linalg.qr(rng.normal(size=(6, 3)))
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        s_min = 1e3 * np.finfo(float).eps * 6
+        a = u @ np.diag([1.0, 0.5, s_min]) @ v.T
+        x = lls_solve(a, u[:, 2])
+        assert np.linalg.norm(a @ x - u[:, 2]) < 1e-2
+        np.testing.assert_allclose(x, v[:, 2] / s_min, rtol=1e-2)
+
     def test_minimum_norm_on_rank_deficient(self):
         # duplicated column: solution must split weight evenly
         a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqnn import linalg
-from sqnn.circuit import expectation_batch
+from sqnn import linalg, training
+from sqnn.circuit import _cos_and_sin, expectation_batch
 from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
 from sqnn.features import (_TILE_CELLS, PolynomialWeightFunction, _power_design,
                            build_design_matrix, eval_angle)
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
-                           TrainingDiverged, _cos_and_sin, _design,
+                           TrainingDiverged, _design,
                            _loss_and_residual, arctanh_labels, gd_train, lls_train,
                            mse_loss, trainer_config)
 
@@ -356,7 +356,7 @@ BETAS = st.floats(min_value=-1e6, max_value=1e6)
 
 
 class TestCosAndSin:
-    """The reduced trainer's cos and sin from tan(beta / 2), against
+    """The package's one cos and sin rule, from tan(beta / 2), against
     numpy's, over angles far past the poles of tan. _cos_and_sin takes
     the half angle."""
 
@@ -390,6 +390,31 @@ class TestPredictionPaths:
             scaled = scaled_like(model, x)
             assert model.predict(x) == pytest.approx(
                 math.cos(poly_angle(model.beta, scaled)), abs=1e-12)
+
+    @pytest.mark.parametrize("loss", ["mse", "hinge"])
+    @pytest.mark.parametrize("n, p, K", [(800, 1, 1), (8611, 4, 6), (957, 4, 3)])
+    def test_reduced_predict_equals_the_trainers_last_cos(self, monkeypatch, n, p, K, loss):
+        # the trainer's value_and_grad returns each epoch's cos(beta); the
+        # last one is at the coefficients the model holds
+        n_params, make_value_and_grad, model_fields = training._GD_SHAPES["reduced"]
+        last = []
+
+        def spy(design):
+            value_and_grad = make_value_and_grad(design)
+
+            def recorded(w):
+                cos, grad = value_and_grad(w)
+                last[:] = [cos.copy()]  # the loss then overwrites cos
+                return cos, grad
+            return recorded
+
+        monkeypatch.setitem(training._GD_SHAPES, "reduced", (n_params, spy, model_fields))
+        rng = np.random.default_rng(n)
+        X = rng.uniform(-3.0, 5.0, (n, p))
+        data = Dataset(inputs=X, targets=np.where(rng.random(n) < 0.5, -1.0, 1.0))
+        model, _ = gd_train(data, GdConfig(max_epochs=20, K=K, loss=loss, init_scale=1.0),
+                            model_shape="reduced")
+        assert np.array_equal(model.predict(X), last[0])
 
     def test_full_predict_matches_closed_form(self):
         rng = np.random.default_rng(9)
