@@ -95,3 +95,38 @@ def write_idx_pair(directory: Path, images, labels, *, prefix="", compress=False
     with opener(lab_path, "wb") as fh:
         fh.write(lab_bytes)
     return img_path, lab_path
+
+
+def write_synthetic_mnist(tmp_path, n_train=120, n_test=40, seed=0, contrast=150):
+    """Two square 'digit' classes: a bright top half vs a bright left
+    half, plus noise. At the default contrast they are distinguishable,
+    so the pipeline should learn."""
+    rng = np.random.default_rng(seed)
+
+    def make(n, prefix):
+        labels = rng.integers(0, 2, n).astype(np.uint8)
+        images = rng.integers(0, 60, (n, 28, 28)).astype(np.uint8)
+        for i, lab in enumerate(labels):
+            if lab == 0:
+                images[i, :14, :] = np.minimum(255, images[i, :14, :] + contrast)
+            else:
+                images[i, :, :14] = np.minimum(255, images[i, :, :14] + contrast)
+        write_idx_pair(tmp_path, images, labels, prefix=prefix, compress=True)
+
+    make(n_train, "train-")
+    make(n_test, "t10k-")
+
+
+def run_mnist_standin(directory: Path):
+    """table6-mnist's 0 vs 1 pair on a stand-in written to `directory`:
+    120 training images, fewer than the 785 design columns, so the solve
+    factorizes a wide matrix, and 400 test images at a contrast low
+    enough that some are misclassified, so a changed fit moves a value."""
+    write_synthetic_mnist(directory, n_test=400, contrast=5)
+    return experiments.run_recipe("table6-mnist", data_dir=directory, pair=(0, 1))
+
+
+@pytest.fixture(scope="session")
+def mnist_standin_run(tmp_path_factory):
+    """The RecipeResult of run_mnist_standin, run once per session."""
+    return run_mnist_standin(tmp_path_factory.mktemp("mnist-standin"))

@@ -14,7 +14,7 @@ from sqnn.datasets import load_csv
 from sqnn.training import GdConfig, LlsConfig, arctanh_labels
 
 from oracle import hstack_design, min_max_scale
-from test_experiments import write_synthetic_mnist
+from conftest import write_synthetic_mnist
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from sqnn import experiments
 from sqnn.experiments import (MissingData, RecipeResult, available_recipes,
                               load_recipe, resolve_data_dir, run_recipe)
 
-from conftest import write_idx_pair
+from conftest import write_synthetic_mnist
 
 
 def test_all_recipes_listed_and_versioned():
@@ -162,25 +162,6 @@ def test_communities_crossval_recipe_machinery(monkeypatch, tmp_path):
     assert "n=197 p=6 (dropped 3 rows)" in lines[0]
     assert {"K1.train_mse.mean", "K2.test_mse.std"} <= set(result.values)
     assert result.passed, result.report_lines()
-
-
-def write_synthetic_mnist(tmp_path, n_train=120, n_test=40, seed=0):
-    """Two square 'digit' classes: a bright top half vs a bright left
-    half, plus noise. Distinguishable, so the pipeline should learn."""
-    rng = np.random.default_rng(seed)
-
-    def make(n, prefix):
-        labels = rng.integers(0, 2, n).astype(np.uint8)
-        images = rng.integers(0, 60, (n, 28, 28)).astype(np.uint8)
-        for i, lab in enumerate(labels):
-            if lab == 0:
-                images[i, :14, :] = np.minimum(255, images[i, :14, :] + 150)
-            else:
-                images[i, :, :14] = np.minimum(255, images[i, :, :14] + 150)
-        write_idx_pair(tmp_path, images, labels, prefix=prefix, compress=True)
-
-    make(n_train, "train-")
-    make(n_test, "t10k-")
 
 
 def test_mnist_recipe_machinery(monkeypatch, tmp_path):

@@ -1,5 +1,7 @@
 """Golden recipe values: every value of the recipes tier-1 runs, against
-tests/golden/recipes.json.
+tests/golden/recipes.json, and of the synthetic table6-mnist stand-in
+(conftest.run_mnist_standin, without its wall time), against
+tests/golden/standins.json.
 
 The file holds each value as a hex float (float.hex). A key with a
 dot-separated part listed under "continuous" must agree within the
@@ -14,6 +16,7 @@ moved:
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ import pytest
 from sqnn import experiments
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "recipes.json"
+STANDINS = GOLDEN.with_name("standins.json")
 RECIPES = ("table1", "fig5-sinc", "table4-moons", "table5-wbcd")
 HEADER = {
     "about": "Recipe values as hex floats. Keys with a part in 'continuous' agree "
@@ -54,6 +58,19 @@ def test_recipe_values_match_the_golden_file(recipe_run, name):
         "\n".join(moved)
 
 
+def standin_values(result) -> dict:
+    """The stand-in run's values, less its wall time."""
+    return {key: value for key, value in result.values.items()
+            if not key.endswith(".seconds")}
+
+
+def test_standin_values_match_the_golden_file(mnist_standin_run):
+    golden = json.loads(STANDINS.read_text())
+    moved = changes(golden, "table6-mnist", standin_values(mnist_standin_run))
+    assert not moved, "stand-in values moved (rewrite with --update if intended):\n" + \
+        "\n".join(moved)
+
+
 def test_changes_name_every_moved_key():
     golden = {**HEADER, "recipes": {"r": {
         "A.mse": (1.0).hex(), "A.epochs": (5.0).hex(), "B.mse": (2.0).hex(),
@@ -65,17 +82,25 @@ def test_changes_name_every_moved_key():
                      "r: B.mse 2.0 -> 2.00000001 (relative 5e-09)"]
 
 
+def write(path: Path, results: dict) -> None:
+    recipes = {name: {key: value.hex() for key, value in sorted(values.items())}
+               for name, values in results.items()}
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps({**HEADER, "recipes": recipes}, indent=1) + "\n")
+    print(f"wrote {sum(map(len, recipes.values()))} values to {path}")
+
+
 def main(argv) -> int:
     if argv != ["--update"]:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    from conftest import run_mnist_standin
+
     data_dir = os.environ.get(experiments.DATA_DIR_ENV, GOLDEN.parents[2] / "data")
-    recipes = {name: {key: value.hex() for key, value in
-                      sorted(experiments.run_recipe(name, data_dir=data_dir).values.items())}
-               for name in RECIPES}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({**HEADER, "recipes": recipes}, indent=1) + "\n")
-    print(f"wrote {sum(map(len, recipes.values()))} values to {GOLDEN}")
+    write(GOLDEN, {name: experiments.run_recipe(name, data_dir=data_dir).values
+                   for name in RECIPES})
+    with tempfile.TemporaryDirectory() as directory:
+        write(STANDINS, {"table6-mnist": standin_values(run_mnist_standin(Path(directory)))})
     return 0
 
 
