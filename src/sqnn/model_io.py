@@ -129,12 +129,12 @@ def load(path) -> TrainedModel:
     kind = doc.get("kind")
     if kind not in ("gd-full", "gd-reduced", "lls"):
         raise ModelFormatError(f"field 'kind' has unknown value {kind!r}")
-    try:
-        K, p = int(doc["K"]), int(doc["p"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"field 'K'/'p' invalid: {exc}") from exc
-    if K < 1 or p < 1:
-        raise ModelFormatError(f"field 'K'/'p' must be positive, got K={K}, p={p}")
+    for name in ("K", "p"):
+        # a bool is an int to Python, but a JSON true is no count
+        if type(doc.get(name)) is not int or doc[name] < 1:
+            raise ModelFormatError(f"field {name!r} must be a positive integer, "
+                                   f"got {doc.get(name)!r}")
+    K, p = doc["K"], doc["p"]
 
     n_coef = 1 + K * p
     beta = PolynomialWeightFunction.from_flat(_decode(doc, "coefficients", n_coef), K, p)

@@ -93,14 +93,18 @@ class GdConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        # the chained comparisons are False for nan as well as out of range
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.target_loss < 0:
-            raise ValueError(f"target_loss must be non-negative, got {self.target_loss}")
-        if self.init_scale < 0:
-            raise ValueError(f"init_scale must be non-negative, got {self.init_scale}")
+        if not 0 <= self.target_loss < math.inf:
+            raise ValueError(f"target_loss must be non-negative and finite, "
+                             f"got {self.target_loss}")
+        if not 0 <= self.init_scale < math.inf:
+            raise ValueError(f"init_scale must be non-negative and finite, "
+                             f"got {self.init_scale}")
         if self.K < 1:
             raise ValueError(f"K must be positive, got {self.K}")
         if self.loss not in ("mse", "hinge"):
@@ -133,8 +137,8 @@ class LlsConfig:
         if self.K < 1:
             raise ValueError(f"K must be positive, got {self.K}")
         _check_epsilon(self.epsilon)
-        if self.rcond is not None and self.rcond < 0:
-            raise ValueError(f"rcond must be non-negative, got {self.rcond}")
+        if self.rcond is not None:
+            linalg._check_rcond(self.rcond)
 
 
 def trainer_config(settings: dict):

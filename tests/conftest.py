@@ -130,3 +130,17 @@ def run_mnist_standin(directory: Path):
 def mnist_standin_run(tmp_path_factory):
     """The RecipeResult of run_mnist_standin, run once per session."""
     return run_mnist_standin(tmp_path_factory.mktemp("mnist-standin"))
+
+
+def fake_gesdd(info=0, during=lambda: None):
+    """A stand-in for linalg's LAPACKE_dgesdd_work binding that computes
+    nothing and starts no thread: it calls `during`, answers the workspace
+    query with a one-double workspace and returns `info` from the
+    factorization."""
+    def gesdd(layout, jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork):
+        during()
+        if lwork == -1:
+            work[0] = 1.0
+            return 0
+        return info
+    return gesdd

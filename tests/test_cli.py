@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqnn import model_io
+from sqnn import linalg, model_io
 from sqnn.cli import main
 from sqnn.datasets import load_csv
 from sqnn.training import GdConfig, LlsConfig, arctanh_labels
 
 from oracle import hstack_design, min_max_scale
-from conftest import write_synthetic_mnist
+from conftest import fake_gesdd, write_synthetic_mnist
 
 
 @pytest.fixture
@@ -268,6 +268,18 @@ class TestTrainerOptions:
         assert f"setting(s): {field}" in result.output
         assert not model.exists()
 
+    @pytest.mark.parametrize("method, option, field", [
+        ("lls", "--rcond", "rcond"), ("gd-reduced", "--lr", "learning_rate"),
+        ("gd-full", "--target-loss", "target_loss"), ("gd", "--init-scale", "init_scale")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_train_rejects_a_non_finite_setting(self, runner, tmp_path, xor, method, option,
+                                                field, value):
+        model = tmp_path / "m.json"
+        result = invoke(runner, "train", "--data", xor, "--method", method, option, value,
+                        "--out", model, expect=2)
+        assert f"--method {method}: {field} must be" in result.output
+        assert not model.exists()
+
     @pytest.mark.parametrize("option, value, field", GD_ONLY_OPTIONS)
     def test_crossval_rejects_a_gd_option_for_lls(self, runner, xor, option, value, field):
         result = invoke(runner, "crossval", "--data", xor, "--method", "lls", "--k", 2,
@@ -447,12 +459,23 @@ class TestNumericFailure:
     def test_svd_that_does_not_converge_exits_1(self, runner, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         invoke(runner, "gen", "xor", "--out", "xor.csv")
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: fake_gesdd(info=1))
+        result = invoke(runner, *args, expect=1)
+        assert "error: SVD did not converge" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_fallback_svd_that_does_not_converge_exits_1(self, runner, tmp_path, monkeypatch):
+        # where numpy bundles no OpenBLAS, svd calls np.linalg.svd
+        monkeypatch.chdir(tmp_path)
+        invoke(runner, "gen", "xor", "--out", "xor.csv")
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
         monkeypatch.setattr(np.linalg, "svd", fail)
-        result = invoke(runner, *args, expect=1)
+        result = invoke(runner, "train", "--data", "xor.csv", "--method", "lls",
+                        "--out", "m.json", expect=1)
         assert "error: SVD did not converge" in result.output
         assert isinstance(result.exception, SystemExit)
 

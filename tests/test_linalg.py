@@ -1,11 +1,18 @@
 """SVD, pseudoinverse and minimum-norm least squares."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sqnn
 from sqnn import datasets, linalg, training
 from sqnn.linalg import NumericFailure, default_rcond, lls_solve, svd
 
+from conftest import fake_gesdd
 from oracle import pinv
 
 
@@ -57,6 +64,58 @@ class TestSvd:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             svd(np.array([[1.0, np.inf]]))
+
+    @pytest.mark.parametrize("shape", [(60, 7), (7, 60), (30, 30)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_is_left_unchanged(self, shape, order):
+        a = np.asarray(np.random.default_rng(9).normal(size=shape), order=order)
+        before = a.copy()
+        svd(a)
+        assert np.array_equal(a, before) and a.flags[f"{order}_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (300, 40), (64, 50),
+                                       (40, 40), (50, 64), (40, 300)])
+    def test_agrees_with_numpy_and_is_orthonormal(self, shape):
+        a = np.random.default_rng(10).normal(size=shape)
+        u, s, v = svd(a)
+        u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)
+        k = min(shape)
+        assert u.shape == (shape[0], k) and s.shape == (k,) and v.shape == (shape[1], k)
+        np.testing.assert_allclose(s, s0, rtol=0, atol=1e-13 * s0[0])
+        assert np.all(np.diff(s) <= 0)
+        np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-13)
+        np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-13)
+        np.testing.assert_allclose((u * s) @ v.T, a, atol=1e-13 * s0[0])
+        # the singular values are distinct, so each vector is numpy's up to sign
+        np.testing.assert_allclose(np.abs(np.sum(u * u0, axis=0)), 1.0, atol=1e-10)
+        np.testing.assert_allclose(np.abs(np.sum(v * vt0.T, axis=0)), 1.0, atol=1e-10)
+
+    def test_invalid_lapack_argument_is_a_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: fake_gesdd(info=-5))
+        with pytest.raises(RuntimeError, match="argument 5") as caught:
+            svd(np.eye(3))
+        assert not isinstance(caught.value, NumericFailure)
+
+    def test_peak_memory_stays_near_one_copy(self):
+        # np.linalg.svd holds its working copy, its own U and the returned
+        # U at once, about three times the matrix; svd needs about one copy
+        if linalg._dgesdd() is None:
+            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_dgesdd_work")
+        script = (
+            "import resource, numpy as np\n"
+            "from sqnn.linalg import svd\n"
+            "a = np.random.default_rng(0).normal(size=(20000, 200))\n"
+            "svd(a[:2000])\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "svd(a)\n"
+            "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(grew * 1024 / a.nbytes)\n")
+        src = str(Path(sqnn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert float(out.stdout) < 1.5
 
 
 class TestPinv:
@@ -178,6 +237,12 @@ class TestLlsSolve:
         with pytest.raises(ValueError, match="entries"):
             lls_solve(np.eye(3), np.ones(4))
 
+    @pytest.mark.parametrize("rcond", [np.nan, np.inf, -1.0])
+    def test_rcond_that_is_not_finite_and_non_negative_is_rejected(self, rcond):
+        # a nan or infinite threshold would truncate every singular value
+        with pytest.raises(ValueError, match=f"rcond must be non-negative and finite, got {rcond}"):
+            lls_solve(np.eye(2), np.ones(2), rcond=rcond)
+
     @pytest.mark.parametrize("matrix, rows, match", [
         (np.array([[1.0, np.nan], [0.0, 1.0]]), 2, "non-finite"),
         (np.array([[1.0, 0.0], [np.inf, 1.0]]), 2, "non-finite"),
@@ -229,19 +294,33 @@ class TestThreadGuard:
 
     @pytest.fixture
     def seen(self, monkeypatch, fake):
-        """Thread counts in force while np.linalg.svd ran."""
+        """Thread counts in force at each call of the dgesdd binding."""
+        counts = []
+        monkeypatch.setattr(linalg, "_dgesdd",
+                            lambda: fake_gesdd(during=lambda: counts.append(fake.count)))
+        return counts
+
+    @pytest.fixture
+    def seen_on_the_fallback(self, monkeypatch, fake):
+        """Thread counts in force while np.linalg.svd ran, with no binding."""
         counts, factorize = [], np.linalg.svd
 
         def recording(*args, **kwargs):
             counts.append(fake.count)
             return factorize(*args, **kwargs)
 
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
         monkeypatch.setattr(np.linalg, "svd", recording)
         return counts
 
     def test_small_matrix_runs_on_one_thread_and_restores_the_count(self, fake, seen):
         svd(np.random.default_rng(0).normal(size=(512, 31)))
-        assert seen == [1]
+        assert seen == [1, 1]  # the workspace query and the factorization
+        assert fake.sets == [1, 4] and fake.count == 4
+
+    def test_small_matrix_on_the_fallback_runs_on_one_thread(self, fake, seen_on_the_fallback):
+        svd(np.random.default_rng(0).normal(size=(512, 31)))
+        assert seen_on_the_fallback == [1]
         assert fake.sets == [1, 4] and fake.count == 4
 
     @pytest.mark.parametrize("shape, one_thread", [
@@ -253,10 +332,20 @@ class TestThreadGuard:
         assert fake.sets == ([1, 4] if one_thread else [])
 
     def test_a_raising_factorization_still_restores_the_count(self, monkeypatch, fake):
+        def on_one_thread():
+            assert fake.count == 1
+
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: fake_gesdd(info=3, during=on_one_thread))
+        with pytest.raises(NumericFailure, match="did not converge"):
+            svd(np.eye(3))
+        assert fake.sets == [1, 4] and fake.count == 4
+
+    def test_a_raising_fallback_factorization_still_restores_the_count(self, monkeypatch, fake):
         def fail(*args, **kwargs):
             assert fake.count == 1
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(NumericFailure, match="did not converge"):
             svd(np.eye(3))
@@ -264,6 +353,7 @@ class TestThreadGuard:
 
     def test_without_the_library_svd_runs_unchanged(self, monkeypatch):
         monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
         a = np.random.default_rng(1).normal(size=(40, 6))
         u, s, v = svd(a)
         u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)

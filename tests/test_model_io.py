@@ -245,6 +245,29 @@ def test_wrong_coefficient_count_names_field(tmp_path, lls_model):
         load(path)
 
 
+@pytest.mark.parametrize("field", ["K", "p"])
+@pytest.mark.parametrize("value", [2.9, 1.0, "2", True, 0, -1, None])
+def test_count_that_is_not_a_positive_json_integer_names_field(tmp_path, lls_model,
+                                                               field, value):
+    path = tmp_path / "m.json"
+    save(lls_model, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=f"field '{field}' must be a positive integer"):
+        load(path)
+
+
+def test_missing_count_names_field(tmp_path, lls_model):
+    path = tmp_path / "m.json"
+    save(lls_model, path)
+    doc = json.loads(path.read_text())
+    del doc["p"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="field 'p'"):
+        load(path)
+
+
 def test_bad_kind_rejected(tmp_path, lls_model):
     path = tmp_path / "m.json"
     save(lls_model, path)

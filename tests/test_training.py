@@ -643,6 +643,14 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match="'reduced' or 'full', got 'bogus'"):
             trainer_config({"shape": "bogus"})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, field", [
+        (GdConfig, "learning_rate"), (GdConfig, "target_loss"), (GdConfig, "init_scale"),
+        (LlsConfig, "rcond")])
+    def test_a_non_finite_setting_is_rejected_by_name(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite, got {value}"):
+            cls(**{field: value})
+
     def test_unknown_loss_is_rejected_when_the_config_is_built(self):
         with pytest.raises(ValueError, match="'mse' or 'hinge', got 'mae'"):
             GdConfig(loss="mae")
