@@ -258,16 +258,6 @@ def test_count_that_is_not_a_positive_json_integer_names_field(tmp_path, lls_mod
         load(path)
 
 
-def test_missing_count_names_field(tmp_path, lls_model):
-    path = tmp_path / "m.json"
-    save(lls_model, path)
-    doc = json.loads(path.read_text())
-    del doc["p"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="field 'p'"):
-        load(path)
-
-
 def test_bad_kind_rejected(tmp_path, lls_model):
     path = tmp_path / "m.json"
     save(lls_model, path)

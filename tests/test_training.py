@@ -643,7 +643,7 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match="'reduced' or 'full', got 'bogus'"):
             trainer_config({"shape": "bogus"})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("cls, field", [
         (GdConfig, "learning_rate"), (GdConfig, "target_loss"), (GdConfig, "init_scale"),
         (LlsConfig, "rcond")])
