@@ -132,6 +132,82 @@ def mnist_standin_run(tmp_path_factory):
     return run_mnist_standin(tmp_path_factory.mktemp("mnist-standin"))
 
 
+def write_synthetic_ccpp(path, n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, (n, 4))
+    y = 420 + 60 * (X @ np.array([0.5, -0.3, 0.2, 0.1])) + rng.normal(0, 1, n)
+    rows = ["AT,V,AP,RH,PE"]
+    rows += [",".join(f"{v:.6f}" for v in row) + f",{t:.4f}"
+             for row, t in zip(X, y)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def write_synthetic_communities(path, n=200, seed=0):
+    """Communities-and-crime layout: no header; five id columns (state,
+    county and community codes that are mostly "?", a town name, a fold
+    number); six features in [0, 1], one mostly-"?" feature column, three
+    "?" cells in an ordinary feature column; the target last, in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, (n, 6))
+    y = np.clip(0.2 + 0.4 * X[:, 0] - 0.3 * X[:, 1] + rng.normal(0, 0.03, n), 0, 1)
+    rows = []
+    for i in range(n):
+        ids = [str(rng.integers(1, 57)),
+               "?" if rng.uniform() < 0.6 else str(rng.integers(1, 800)),
+               "?" if rng.uniform() < 0.6 else str(rng.integers(1, 90000)),
+               f"Town{i}city", str(i % 10 + 1)]
+        features = [f"{v:.2f}" for v in X[i]]
+        if i in (3, 50, 120):
+            features[2] = "?"
+        sparse = f"{rng.uniform():.2f}" if i % 5 == 0 else "?"
+        rows.append(",".join(ids + features[:4] + [sparse] + features[4:] + [f"{y[i]:.2f}"]))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def _run_changed(name: str, directory: Path, log, *, trainer=None, **fields):
+    """run_recipe(name) on `directory` with some of the recipe's fields
+    and trainer settings replaced."""
+    recipe = experiments.load_recipe(name)
+    recipe = {**recipe, **fields, "trainer": {**recipe["trainer"], **(trainer or {})}}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "load_recipe", lambda _: recipe)
+        return experiments.run_recipe(name, data_dir=directory, log=log)
+
+
+def run_ccpp_standin(directory: Path, log=None):
+    """table2-ccpp at K = 1 and 300 epochs on a near-linear 400-row
+    stand-in written to `directory`."""
+    write_synthetic_ccpp(directory / "ccpp.csv")
+    return _run_changed("table2-ccpp", directory, log, K_values=[1],
+                        trainer={"max_epochs": 300},
+                        assertions=[{"value": "K1.test_mse.mean", "max": 0.2}])
+
+
+def run_crime_standin(directory: Path, log=None):
+    """table3-crime at K = 1, 2 and 200 epochs on a 200-row stand-in in the
+    communities layout written to `directory`. The best constant
+    prediction scores about 0.26 on the rescaled target."""
+    write_synthetic_communities(directory / "communities.data")
+    return _run_changed("table3-crime", directory, log, K_values=[1, 2],
+                        trainer={"max_epochs": 200},
+                        assertions=[{"value": "K1.test_mse.mean", "max": 0.05},
+                                    {"value": "K2.test_mse.mean", "max": 0.05}])
+
+
+@pytest.fixture(scope="session")
+def ccpp_standin_run(tmp_path_factory):
+    """(RecipeResult, log lines) of run_ccpp_standin, run once per session."""
+    lines = []
+    return run_ccpp_standin(tmp_path_factory.mktemp("ccpp-standin"), lines.append), lines
+
+
+@pytest.fixture(scope="session")
+def crime_standin_run(tmp_path_factory):
+    """(RecipeResult, log lines) of run_crime_standin, run once per session."""
+    lines = []
+    return run_crime_standin(tmp_path_factory.mktemp("crime-standin"), lines.append), lines
+
+
 def fake_gesdd(info=0, during=lambda: None):
     """A stand-in for linalg's LAPACKE_dgesdd_work binding that computes
     nothing and starts no thread: it calls `during`, answers the workspace

@@ -10,14 +10,13 @@ real files are present.
 
 import json
 
-import numpy as np
 import pytest
 
 from sqnn import experiments
 from sqnn.experiments import (MissingData, RecipeResult, available_recipes,
                               load_recipe, resolve_data_dir, run_recipe)
 
-from conftest import write_synthetic_mnist
+from conftest import write_synthetic_ccpp, write_synthetic_mnist
 
 
 def test_all_recipes_listed_and_versioned():
@@ -102,62 +101,15 @@ def test_unknown_loader_key_rejected(monkeypatch, tmp_path):
         run_recipe("table2-ccpp", data_dir=tmp_path)
 
 
-def write_synthetic_ccpp(path, n=400, seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(0, 1, (n, 4))
-    y = 420 + 60 * (X @ np.array([0.5, -0.3, 0.2, 0.1])) + rng.normal(0, 1, n)
-    rows = ["AT,V,AP,RH,PE"]
-    rows += [",".join(f"{v:.6f}" for v in row) + f",{t:.4f}"
-             for row, t in zip(X, y)]
-    path.write_text("\n".join(rows) + "\n")
-
-
-def test_regression_crossval_recipe_machinery(monkeypatch, tmp_path):
-    write_synthetic_ccpp(tmp_path / "ccpp.csv")
-    recipe = json.loads(json.dumps(load_recipe("table2-ccpp")))
-    recipe["K_values"] = [1]
-    recipe["trainer"]["max_epochs"] = 300
-    recipe["assertions"] = [{"value": "K1.test_mse.mean", "max": 0.2}]
-    monkeypatch.setattr(experiments, "load_recipe", lambda name: recipe)
-    result = run_recipe("table2-ccpp", data_dir=tmp_path)
+def test_regression_crossval_recipe_machinery(ccpp_standin_run):
+    result, _ = ccpp_standin_run
     assert "K1.test_mse.mean" in result.values
     assert "K1.train_mse.std" in result.values
     assert result.passed  # near-linear synthetic data is easy at K=1
 
 
-def write_synthetic_communities(path, n=200, seed=0):
-    """Communities-and-crime layout: no header; five id columns (state,
-    county and community codes that are mostly "?", a town name, a fold
-    number); six features in [0, 1], one mostly-"?" feature column, three
-    "?" cells in an ordinary feature column; the target last, in [0, 1]."""
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(0, 1, (n, 6))
-    y = np.clip(0.2 + 0.4 * X[:, 0] - 0.3 * X[:, 1] + rng.normal(0, 0.03, n), 0, 1)
-    rows = []
-    for i in range(n):
-        ids = [str(rng.integers(1, 57)),
-               "?" if rng.uniform() < 0.6 else str(rng.integers(1, 800)),
-               "?" if rng.uniform() < 0.6 else str(rng.integers(1, 90000)),
-               f"Town{i}city", str(i % 10 + 1)]
-        features = [f"{v:.2f}" for v in X[i]]
-        if i in (3, 50, 120):
-            features[2] = "?"
-        sparse = f"{rng.uniform():.2f}" if i % 5 == 0 else "?"
-        rows.append(",".join(ids + features[:4] + [sparse] + features[4:] + [f"{y[i]:.2f}"]))
-    path.write_text("\n".join(rows) + "\n")
-
-
-def test_communities_crossval_recipe_machinery(monkeypatch, tmp_path):
-    write_synthetic_communities(tmp_path / "communities.data")
-    recipe = json.loads(json.dumps(load_recipe("table3-crime")))
-    recipe["K_values"] = [1, 2]
-    recipe["trainer"]["max_epochs"] = 200
-    # the best constant prediction scores about 0.26 on the rescaled target
-    recipe["assertions"] = [{"value": "K1.test_mse.mean", "max": 0.05},
-                            {"value": "K2.test_mse.mean", "max": 0.05}]
-    monkeypatch.setattr(experiments, "load_recipe", lambda name: recipe)
-    lines = []
-    result = run_recipe("table3-crime", data_dir=tmp_path, log=lines.append)
+def test_communities_crossval_recipe_machinery(crime_standin_run):
+    result, lines = crime_standin_run
     # ids and the sparse column go, "?" ids keep their row, "?" features drop it
     assert "n=197 p=6 (dropped 3 rows)" in lines[0]
     assert {"K1.train_mse.mean", "K2.test_mse.std"} <= set(result.values)
