@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 training/assertion failure, 2 usage error,
-3 missing or unreadable data, or an output file that cannot be written.
+Exit codes: 0 success, 1 training/assertion failure or a value the
+library rejects, 2 usage error, 3 missing or unreadable data, or an
+output file that cannot be written.
 The data directory for the real-dataset recipes defaults to ./data and
 can be set with SQNN_DATA_DIR or --data-dir.
 """
@@ -106,7 +107,19 @@ _data_options = _stack(
 )
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group. A fit that diverges, a factorization that fails
+    or a value the library rejects ends any command with exit 1 and its
+    message; a command maps the failures that name a file to exit 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (training.TrainingDiverged, linalg.NumericFailure, ValueError) as exc:
+            _fail(EXIT_FAILURE, str(exc))
+
+
+@click.group(cls=_Commands)
 def main():
     """Single-qubit network trainer and experiment harness."""
 
@@ -122,7 +135,7 @@ def main():
 @click.option("--n-test", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--noise-sigma", default=0.0, show_default=True, type=click.FloatRange(min=0),
               help="Target noise level (sinc).")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", default=None, type=click.Path(),
               help="Output CSV path (default <name>.csv).")
 def cmd_gen(dataset_name, n, noise, n_train, n_val, n_test, noise_sigma, seed, out_path):
@@ -194,7 +207,8 @@ def _trainer_config(method: str, **settings):
 @main.command("train")
 @_data_options
 @_trainer_options
-@click.option("--seed", default=training.GdConfig.seed, show_default=True, type=int)
+@click.option("--seed", default=training.GdConfig.seed, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--rcond", default=training.LlsConfig.rcond, type=float,
               help="LLS truncation threshold.")
 @click.option("--out", "model_path", required=True, type=click.Path(),
@@ -210,20 +224,14 @@ def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets, 
     data = _load_dataset(data_path, target_column, label_map, no_scale_targets, drop_cols,
                          header)
     if trainer == "lls":
-        try:
-            model = training.lls_train(data, config)
-        except linalg.NumericFailure as exc:
-            _fail(EXIT_FAILURE, str(exc))
+        model = training.lls_train(data, config)
         angle = model._design_for(data.inputs) @ model.beta.flat()
         rhs = training.arctanh_labels(data.targets, config.epsilon)
         residual = float(np.mean((angle - rhs) ** 2))
         click.echo(f"lls fit: residual (arctanh space) = {residual:.6g}, "
                    f"training mse = {training.mse_loss(np.tanh(angle), data.targets):.6g}")
     else:
-        try:
-            model, history = training.gd_train(data, config, model_shape=shape)
-        except training.TrainingDiverged as exc:
-            _fail(EXIT_FAILURE, str(exc))
+        model, history = training.gd_train(data, config, model_shape=shape)
         click.echo(f"gd fit ({shape}): final {config.loss} = {history[-1]:.6g} "
                    f"after {len(history)} epoch(s)")
     try:
@@ -275,19 +283,15 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
     if data.p != model.p:
         _fail(EXIT_FAILURE, f"dimension mismatch: model expects p={model.p} features "
                             f"but dataset has p={data.p}")
-    try:
-        if task == "regression":
-            rows = [("mse", training.mse_loss(model.predict(data.inputs),
-                                              _model_scale_targets(model, data)))]
-        else:
-            report = metrics.metric_suite(metrics.confusion(
-                model.predict_class(data.inputs), data.targets))
-            rows = list(report.as_dict().items())
-            for name in sorted(report.undefined):
-                click.echo(f"note: {name} had a zero denominator and is reported as 0",
-                           err=True)
-    except ValueError as exc:
-        _fail(EXIT_FAILURE, str(exc))
+    if task == "regression":
+        rows = [("mse", training.mse_loss(model.predict(data.inputs),
+                                          _model_scale_targets(model, data)))]
+    else:
+        report = metrics.metric_suite(metrics.confusion(
+            model.predict_class(data.inputs), data.targets))
+        rows = list(report.as_dict().items())
+        for name in sorted(report.undefined):
+            click.echo(f"note: {name} had a zero denominator and is reported as 0", err=True)
     _echo_metrics(("metric", "value"), rows, fmt)
     if boundary:
         lo = data.inputs.min(axis=0)
@@ -305,7 +309,8 @@ def cmd_eval(model_path, data_path, target_column, label_map, drop_cols,
 @click.option("--task", default="classification", show_default=True,
               type=click.Choice(["regression", "classification"]))
 @click.option("--k", "k_folds", default=10, show_default=True, type=click.IntRange(min=2))
-@click.option("--seed", default=training.GdConfig.seed, show_default=True, type=int,
+@click.option("--seed", default=training.GdConfig.seed, show_default=True,
+              type=click.IntRange(min=0),
               help="Seeds both the fold plan and the gd initialization.")
 @click.option("--format", "fmt", default="table", show_default=True,
               type=click.Choice(["table", "csv"]))
@@ -318,12 +323,8 @@ def cmd_crossval(data_path, target_column, label_map, drop_cols, no_scale_target
                          header)
     if k_folds > data.n:
         raise click.UsageError(f"--k {k_folds} exceeds the dataset size n={data.n}")
-    try:
-        summary = metrics.crossval(data, trainer=trainer, config=config,
-                                   model_shape=shape, task=task,
-                                   k=k_folds, seed=seed)
-    except (training.TrainingDiverged, linalg.NumericFailure, ValueError) as exc:
-        _fail(EXIT_FAILURE, str(exc))
+    summary = metrics.crossval(data, trainer=trainer, config=config, model_shape=shape,
+                               task=task, k=k_folds, seed=seed)
     _echo_metrics(("metric", "mean", "std"),
                   [(name, s.mean, s.std) for name, s in sorted(summary.items())], fmt)
 
@@ -358,8 +359,6 @@ def cmd_reproduce(recipe_name, data_dir, pair, dct_keep):
                                         log=click.echo)
     except (experiments.MissingData, ValueError) as exc:
         _fail(EXIT_IO, str(exc))
-    except linalg.NumericFailure as exc:
-        _fail(EXIT_FAILURE, str(exc))
     for line in result.report_lines():
         click.echo(line)
     if not result.assertions:

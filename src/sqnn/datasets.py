@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .features import NormalizationRecord, dct_features
+from .features import NormalizationRecord, _count, dct_features
 from .linalg import _all_finite
 
 __all__ = [
@@ -372,8 +372,7 @@ def gen_two_moons(n: int = 1000, noise: float = 0.07, seed: int = 0) -> Dataset:
     -1 moon is its reflection shifted to (1 - cos t, 0.5 - sin t) so the
     arcs interlock. Labels are balanced within one sample.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    _count("n", n, least=2)
     if noise < 0:
         raise ValueError(f"noise must be non-negative, got {noise}")
     rng = np.random.default_rng(seed)
@@ -399,8 +398,7 @@ class FoldPlan:
     folds: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
+        _count("k", self.k, least=2)
         if len(self.folds) != self.k:
             raise ValueError("fold count does not match k")
         indices = np.sort(np.concatenate(self.folds))
@@ -422,8 +420,8 @@ def kfold_plan(n: int, k: int = 10, seed: int = 0, labels=None) -> FoldPlan:
     opposite ends of the fold list so total sizes still differ by at
     most one.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    _count("k", k, least=2)
+    _count("seed", seed, least=0)
     if k > n:
         raise ValueError(f"k={k} exceeds the number of samples n={n}")
     rng = np.random.default_rng(seed)

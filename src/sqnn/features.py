@@ -15,6 +15,7 @@ C @ X @ C.T.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,8 @@ class PolynomialWeightFunction:
     c: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.K < 1 or self.p < 1:
-            raise ValueError(f"K and p must be positive, got K={self.K}, p={self.p}")
+        _count("K", self.K)
+        _count("p", self.p)
         c = np.zeros((self.K, self.p)) if self.c is None else np.asarray(self.c, dtype=float)
         if c.shape != (self.K, self.p):
             raise ValueError(f"coefficient matrix must be {self.K}x{self.p}, got {c.shape}")
@@ -61,16 +62,26 @@ class PolynomialWeightFunction:
         return np.concatenate([[self.c0], self.c.ravel()])
 
 
+def _count(name: str, value, least: int = 1) -> int:
+    """`value` as an int when it is an integer of at least `least`, else a
+    ValueError naming `name`. A bool is an int to Python, but no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
 def _as_rows(x, p: int) -> tuple[np.ndarray, bool]:
-    """Coerce a single p-vector or an (n, p) batch to 2-D."""
+    """Coerce a single p-vector or an (n, p) batch to 2-D; also whether
+    it was a single vector."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if arr.size != p:
-            raise ValueError(f"input has dimension {arr.size}, expected {p}")
-        return arr[None, :], True
-    if arr.ndim == 2 and arr.shape[1] == p:
-        return arr, False
-    raise ValueError(f"input must be a {p}-vector or an (n, {p}) array, got shape {arr.shape}")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"input must be a {p}-vector or an (n, {p}) array, "
+                         f"got shape {arr.shape}")
+    if arr.shape[-1] != p:
+        raise ValueError(f"input has dimension {arr.shape[-1]}, model expects {p}")
+    return (arr[None, :], True) if arr.ndim == 1 else (arr, False)
 
 
 def eval_angle(f: PolynomialWeightFunction, x):
@@ -87,8 +98,7 @@ def build_design_matrix(inputs, K: int) -> np.ndarray:
     Column order matches PolynomialWeightFunction.flat(), so
     design @ flat is the polynomial row-wise. The array is column-major:
     the trainers' products design @ w and v @ design then read each
-    column contiguously, and numpy's SVD gets its input in the layout
-    it copies to anyway. The trainers and TrainedModel.predict build
+    column contiguously. The trainers and TrainedModel.predict build
     the same design, with the inputs min-max scaled inside it.
     """
     return _power_design(inputs, K, None)[0]
@@ -107,8 +117,7 @@ def _power_design(inputs, K: int, bounds):
     (lo, hi) pair scales by those. lo and hi are None when unscaled.
     The inputs are copied once, into the first power block in row tiles,
     and scaled there."""
-    if K < 1:
-        raise ValueError(f"K must be positive, got {K}")
+    _count("K", K)
     X = np.asarray(inputs, dtype=float)
     if X.ndim == 1:
         X = X[None, :]

@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .features import NormalizationRecord, PolynomialWeightFunction
+from .features import NormalizationRecord, PolynomialWeightFunction, _count
 from .training import TrainedModel
 
 __all__ = ["save", "load", "FORMAT_VERSION", "UnsupportedFormat", "ModelFormatError"]
@@ -129,12 +129,10 @@ def load(path) -> TrainedModel:
     kind = doc.get("kind")
     if kind not in ("gd-full", "gd-reduced", "lls"):
         raise ModelFormatError(f"field 'kind' has unknown value {kind!r}")
-    for name in ("K", "p"):
-        # a bool is an int to Python, but a JSON true is no count
-        if type(doc.get(name)) is not int or doc[name] < 1:
-            raise ModelFormatError(f"field {name!r} must be a positive integer, "
-                                   f"got {doc.get(name)!r}")
-    K, p = doc["K"], doc["p"]
+    try:
+        K, p = (_count(f"field {name!r}", doc.get(name)) for name in ("K", "p"))
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
 
     n_coef = 1 + K * p
     beta = PolynomialWeightFunction.from_flat(_decode(doc, "coefficients", n_coef), K, p)

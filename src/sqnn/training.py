@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import circuit, linalg
-from .features import (NormalizationRecord, PolynomialWeightFunction,
-                       _power_design)
+from .features import (NormalizationRecord, PolynomialWeightFunction, _as_rows,
+                       _count, _power_design)
 
 __all__ = [
     "GdConfig",
@@ -97,16 +97,15 @@ class GdConfig:
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        _count("max_epochs", self.max_epochs)
+        _count("seed", self.seed, least=0)
+        _count("K", self.K)
         if not 0 <= self.target_loss < math.inf:
             raise ValueError(f"target_loss must be non-negative and finite, "
                              f"got {self.target_loss}")
         if not 0 <= self.init_scale < math.inf:
             raise ValueError(f"init_scale must be non-negative and finite, "
                              f"got {self.init_scale}")
-        if self.K < 1:
-            raise ValueError(f"K must be positive, got {self.K}")
         if self.loss not in ("mse", "hinge"):
             raise ValueError(f"loss must be 'mse' or 'hinge', got {self.loss!r}")
 
@@ -134,8 +133,7 @@ class LlsConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be positive, got {self.K}")
+        _count("K", self.K)
         _check_epsilon(self.epsilon)
         if self.rcond is not None:
             linalg._check_rcond(self.rcond)
@@ -185,19 +183,16 @@ class TrainedModel:
 
     def _design_for(self, x) -> np.ndarray:
         """The power design of one input vector or an (n, p) batch, scaled
-        by the stored feature bounds."""
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim not in (1, 2):
-            raise ValueError(f"input must be a {self.p}-vector or an (n, {self.p}) array, "
-                             f"got shape {arr.shape}")
-        if arr.shape[-1] != self.p:
-            raise ValueError(f"input has dimension {arr.shape[-1]}, model expects {self.p}")
-        if not linalg._all_finite(arr):
-            raise ValueError("input holds non-finite values")
+        by the stored feature bounds. A non-finite input, or one whose
+        powers overflow, raises ValueError."""
         record = self.normalization
         bounds = (None if record is None or record.feature_min is None
                   else (record.feature_min, record.feature_max))
-        return _power_design(arr, self.K, bounds)[0]
+        with np.errstate(over="ignore"):
+            design = _power_design(_as_rows(x, self.p)[0], self.K, bounds)[0]
+        if not linalg._all_finite(design):
+            raise ValueError("input holds non-finite values, or values whose powers overflow")
+        return design
 
     def predict(self, x):
         """Model output in [-1, 1] for one input vector or an (n, p) batch."""
@@ -224,8 +219,11 @@ def _design(data, K: int, normalize: bool):
     model must carry: fitted feature ranges and, when the dataset's
     targets were rescaled at load time, the original target range for
     recalibration (None when it has neither). The inputs are scaled
-    inside the design, so no scaled copy of them is made."""
-    design, lo, hi = _power_design(data.inputs, K, "fit" if normalize else None)
+    inside the design, so no scaled copy of them is made. Extreme powers
+    overflow to inf without a warning: the SVD's input check and the
+    divergence guard reject them."""
+    with np.errstate(over="ignore"):
+        design, lo, hi = _power_design(data.inputs, K, "fit" if normalize else None)
     target_range = getattr(data, "target_range", None)
     record = NormalizationRecord(lo, hi, *(target_range or (None, None)))
     return design, record if normalize or target_range is not None else None
@@ -298,13 +296,9 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     g = grad(res); g *= lr * scale; w -= g.
     """
     _check_shape(model_shape)
-    if data.n < 1:
-        raise ValueError("dataset is empty")
     n_params, make_value_and_grad, model_fields = _GD_SHAPES[model_shape]
     y = data.targets
-    # extreme powers overflow to inf and trip the divergence guard
-    with np.errstate(over="ignore"):
-        design, record = _design(data, config.K, config.normalize)
+    design, record = _design(data, config.K, config.normalize)
     n_coef = design.shape[1]
     rng = np.random.default_rng(config.seed)
     w = rng.uniform(-config.init_scale, config.init_scale, n_params(n_coef))
@@ -354,8 +348,6 @@ def lls_train(data, config: LlsConfig = LlsConfig()) -> TrainedModel:
     nudging +-1 inward by epsilon) and solves the linear system by
     pseudoinverse. The model prediction is tanh of the fitted polynomial.
     """
-    if data.n < 1:
-        raise ValueError("dataset is empty")
     design, record = _design(data, config.K, config.normalize)
     rhs = arctanh_labels(data.targets, config.epsilon)
     coeffs = linalg.lls_solve(design, rhs, rcond=config.rcond)

@@ -1,6 +1,10 @@
 """CLI behavior: commands, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sqnn
 from sqnn import linalg, model_io
 from sqnn.cli import main
 from sqnn.datasets import load_csv
@@ -59,6 +64,12 @@ class TestGen:
 
     def test_unknown_dataset_is_usage_error(self, runner):
         invoke(runner, "gen", "mystery", expect=2)
+
+    @pytest.mark.parametrize("name", ["sinc", "two-moons"])
+    def test_negative_seed_is_usage_error(self, runner, tmp_path, name):
+        result = invoke(runner, "gen", name, "--seed", -1, "--out", tmp_path / "d.csv",
+                        expect=2)
+        assert "'--seed'" in result.output
 
 
 class TestTrainEval:
@@ -286,6 +297,14 @@ class TestTrainerOptions:
                         option, value, expect=2)
         assert f"setting(s): {field}" in result.output
 
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    @pytest.mark.parametrize("method", ["lls", "gd", "gd-full", "gd-reduced"])
+    def test_negative_seed_is_usage_error(self, runner, tmp_path, xor, command, method):
+        rest = ("--out", tmp_path / "m.json") if command == "train" else ("--k", 2)
+        result = invoke(runner, command, "--data", xor, "--method", method,
+                        "--seed", -1, *rest, expect=2)
+        assert "'--seed'" in result.output
+
     def test_crossval_seed_seeds_the_folds_of_lls(self, runner, tmp_path):
         data = tmp_path / "moons.csv"
         invoke(runner, "gen", "two-moons", "--n", 60, "--seed", 2, "--out", data)
@@ -450,6 +469,40 @@ class TestDivergence:
                         "--K", 2, "--no-normalize", "--out", tmp_path / "m.json",
                         expect=1)
         assert "diverged" in result.output
+
+
+class TestRejectedValue:
+    """A value the library rejects during a command exits 1 with
+    'error: ...' and neither a traceback nor a numpy warning."""
+
+    ARGS = ("train", "--method", "lls", "--K", "3", "--no-normalize")
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        # x**2 already overflows, so the design holds inf
+        data = tmp_path / "huge.csv"
+        data.write_text("x,y\n1e200,1\n-1e200,-1\n2e200,1\n-2e200,-1\n")
+        return data
+
+    def test_overflowing_lls_fit_exits_1(self, runner, tmp_path, huge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would end the command
+            result = invoke(runner, *self.ARGS, "--data", huge,
+                            "--out", tmp_path / "m.json", expect=1)
+        assert "error: matrix contains non-finite entries" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_overflowing_lls_fit_through_the_interpreter(self, tmp_path, huge):
+        src = str(Path(sqnn.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "sqnn.cli", *self.ARGS, "--data", huge,
+                               "--out", tmp_path / "m.json"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: matrix contains non-finite entries\n"
+        assert "Traceback" not in proc.stdout and "RuntimeWarning" not in proc.stdout
 
 
 class TestNumericFailure:

@@ -1,6 +1,9 @@
 """Feature maps: polynomial angles, design matrix, scaling, DCT."""
 
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +15,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sqnn
-from sqnn.datasets import load_csv
+from sqnn import model_io
+from sqnn.datasets import gen_two_moons, kfold_plan, load_csv
 from sqnn.features import (NormalizationRecord, PolynomialWeightFunction, _power_design,
                            build_design_matrix, dct_features, eval_angle)
+from sqnn.training import GdConfig, LlsConfig, lls_train
 
 from oracle import dct2, hstack_design, idct2, poly_angle
 
@@ -290,3 +295,40 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def _load_with(tmp_path, name, value):
+    """model_io.load of a saved two-moons model whose `name` is `value`."""
+    path = tmp_path / "m.json"
+    model_io.save(lls_train(gen_two_moons(20), LlsConfig()), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, name: value}))
+    return model_io.load(path)
+
+
+# (what, call(value, tmp_path), name in the message, least value); the
+# model file's rule raises ModelFormatError, a ValueError
+COUNTS = [
+    ("GdConfig.K", lambda v, _: GdConfig(K=v), "K", 1),
+    ("GdConfig.max_epochs", lambda v, _: GdConfig(max_epochs=v), "max_epochs", 1),
+    ("GdConfig.seed", lambda v, _: GdConfig(seed=v), "seed", 0),
+    ("LlsConfig.K", lambda v, _: LlsConfig(K=v), "K", 1),
+    ("PolynomialWeightFunction.K", lambda v, _: PolynomialWeightFunction(K=v, p=1), "K", 1),
+    ("PolynomialWeightFunction.p", lambda v, _: PolynomialWeightFunction(K=1, p=v), "p", 1),
+    ("build_design_matrix.K", lambda v, _: build_design_matrix(np.ones((3, 2)), v), "K", 1),
+    ("model file K", lambda v, tmp: _load_with(tmp, "K", v), "field 'K'", 1),
+    ("model file p", lambda v, tmp: _load_with(tmp, "p", v), "field 'p'", 1),
+    ("kfold_plan.k", lambda v, _: kfold_plan(10, k=v), "k", 2),
+    ("kfold_plan.seed", lambda v, _: kfold_plan(10, k=2, seed=v), "seed", 0),
+]
+
+
+@pytest.mark.parametrize("call, name, least", [c[1:] for c in COUNTS],
+                         ids=[c[0] for c in COUNTS])
+@pytest.mark.parametrize("kind", ["fraction", "nan", "bool", "below"])
+def test_every_count_rejects_a_fraction_nan_bool_or_small_value(tmp_path, call, name,
+                                                                 least, kind):
+    value = {"fraction": 2.5, "nan": math.nan, "bool": True, "below": least - 1}[kind]
+    error = model_io.ModelFormatError if name.startswith("field") else ValueError
+    with pytest.raises(error, match=f"^{re.escape(name)} must be an? .*integer.*, got "):
+        call(value, tmp_path)
