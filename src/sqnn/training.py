@@ -183,16 +183,14 @@ class TrainedModel:
 
     def _design_for(self, x) -> np.ndarray:
         """The power design of one input vector or an (n, p) batch, scaled
-        by the stored feature bounds. A non-finite input, or one whose
-        powers overflow, raises ValueError."""
+        by the stored feature bounds."""
+        arr = _as_rows(x, self.p)[0]
+        if not linalg._all_finite(arr):
+            raise ValueError("input holds non-finite values")
         record = self.normalization
         bounds = (None if record is None or record.feature_min is None
                   else (record.feature_min, record.feature_max))
-        with np.errstate(over="ignore"):
-            design = _power_design(_as_rows(x, self.p)[0], self.K, bounds)[0]
-        if not linalg._all_finite(design):
-            raise ValueError("input holds non-finite values, or values whose powers overflow")
-        return design
+        return _power_design(arr, self.K, bounds)[0]
 
     def predict(self, x):
         """Model output in [-1, 1] for one input vector or an (n, p) batch."""

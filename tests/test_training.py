@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -509,16 +508,6 @@ class TestPredictionPaths:
                 model.predict(x)
             with pytest.raises(ValueError, match="non-finite"):
                 model.predict_class(x)
-
-
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_input_whose_powers_overflow_rejected(self, normalize):
-        # 1e200 is finite, but its cube is not: no class for that row
-        model = lls_train(gen_two_moons(60, seed=3), LlsConfig(K=3, normalize=normalize))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="powers overflow"):
-                model.predict_class(np.array([[0.2, 0.1], [1e200, 0.0]]))
 
 
 class TestLlsTrain:
