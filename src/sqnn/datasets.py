@@ -343,6 +343,13 @@ def gen_logic_gate(gate: str) -> Dataset:
     return Dataset(inputs=inputs, targets=targets, tag=name.lower())
 
 
+def _check_noise(name: str, value) -> None:
+    """ValueError naming `name` unless the noise level is finite and
+    non-negative: a nan level would make every noisy sample nan."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+
+
 def gen_sinc(n_train: int = 800, n_val: int = 100, n_test: int = 100,
              noise_sigma: float = 0.0, seed: int = 0):
     """Train/validation/test splits of y = sin(x)/x with optional white noise.
@@ -351,9 +358,10 @@ def gen_sinc(n_train: int = 800, n_val: int = 100, n_test: int = 100,
     targets are clipped to [-1, 1] (relevant only for sigma large enough
     to push a sample past the peak).
     """
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
-    rng = np.random.default_rng(seed)
+    for name, count in (("n_train", n_train), ("n_val", n_val), ("n_test", n_test)):
+        _count(name, count)
+    _check_noise("noise_sigma", noise_sigma)
+    rng = np.random.default_rng(_count("seed", seed, least=0))
 
     def make(n: int, part: str) -> Dataset:
         x = rng.uniform(-10.0, 10.0, n)
@@ -373,9 +381,8 @@ def gen_two_moons(n: int = 1000, noise: float = 0.07, seed: int = 0) -> Dataset:
     arcs interlock. Labels are balanced within one sample.
     """
     _count("n", n, least=2)
-    if noise < 0:
-        raise ValueError(f"noise must be non-negative, got {noise}")
-    rng = np.random.default_rng(seed)
+    _check_noise("noise", noise)
+    rng = np.random.default_rng(_count("seed", seed, least=0))
     n_up = n // 2
     n_dn = n - n_up
     t_up = rng.uniform(0.0, np.pi, n_up)

@@ -12,11 +12,14 @@ that numpy bundles, with JOBZ='O' on one Fortran-ordered copy of the
 matrix. dgesdd writes U (or V.T for a wide matrix) over that copy, so the
 factorization holds one matrix-sized array beyond its input, plus the
 workspace LAPACK asks for, where np.linalg.svd holds three: its working
-copy, its own U and the returned U. On a 12,665 x 785 design (76 MiB)
-the peak resident memory of the call grows by 100 MiB, 24 MiB of it
-workspace, against 251 MiB through np.linalg.svd. Where numpy bundles
-no OpenBLAS (MKL, Accelerate, a system BLAS), svd calls np.linalg.svd
-instead.
+copy, its own U and the returned U. With overwrite_a (lls_solve's
+overwrite_x) set, a writeable, Fortran-ordered float64 matrix is itself
+that working array and no copy is made; lls_train hands over the design
+it built column-major for this. On a 12,665 x 785 design (76 MiB) the
+peak resident memory of the call grows by 108 MiB with the copy, 32 MiB
+without it (the workspace and the small factors), and 251 MiB through
+np.linalg.svd. Where numpy bundles no OpenBLAS (MKL, Accelerate, a
+system BLAS), svd calls np.linalg.svd instead, which ignores the flag.
 
 Threads: a matrix of at most _ONE_THREAD_MAX_CELLS cells (m * n) is
 factorized on one OpenBLAS thread, and the earlier count is restored
@@ -170,25 +173,32 @@ def _check_rcond(rcond: float) -> float:
     return rcond
 
 
-def svd(a):
+def svd(a, *, overwrite_a: bool = False):
     """Thin singular value decomposition A = U @ diag(s) @ V.T.
 
     Returns (U, s, V) with orthonormal columns in U and V and singular
-    values sorted in non-increasing order. a is left unchanged.
+    values sorted in non-increasing order. a is left unchanged unless
+    overwrite_a is set: then a writeable, Fortran-ordered float64 `a` is
+    factorized in place, without a copy, and its contents afterwards are
+    unspecified (U or V.T is written over it). Any other input is copied
+    as without the flag. a is checked for non-finite entries first either
+    way.
     """
     m = _as_matrix(a)
     gesdd = _dgesdd()
     try:
         with _threads_for(m.shape):
             if gesdd is not None:
-                return _gesdd_overwrite(gesdd, np.array(m, order="F"))
+                # m is a only when a already is a float64 ndarray
+                in_place = overwrite_a and m is a and m.flags.f_contiguous and m.flags.writeable
+                return _gesdd_overwrite(gesdd, m if in_place else np.array(m, order="F"))
             u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"SVD did not converge: {exc}") from exc
     return u, s, vt.T
 
 
-def lls_solve(x, y, rcond: float | None = None) -> np.ndarray:
+def lls_solve(x, y, rcond: float | None = None, *, overwrite_x: bool = False) -> np.ndarray:
     """Minimum-norm least-squares solution of X @ S ~= Y.
 
     Computed as V @ diag(1/s) @ U.T @ Y on the retained-rank subspace,
@@ -196,7 +206,9 @@ def lls_solve(x, y, rcond: float | None = None) -> np.ndarray:
     stays well conditioned. Singular values at or below rcond * s_max,
     the one truncation rule of this module, count as zero; rcond defaults
     to default_rcond(X.shape). X is checked for non-finite entries once,
-    by svd, which factorizes it as given.
+    by svd, which factorizes it as given. overwrite_x is passed on as
+    svd's overwrite_a: with it set, X's contents afterwards are
+    unspecified.
     """
     shape = np.shape(x)
     _check_shape(shape)
@@ -206,6 +218,6 @@ def lls_solve(x, y, rcond: float | None = None) -> np.ndarray:
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite entries")
     rcond = default_rcond(shape) if rcond is None else _check_rcond(rcond)
-    u, s, v = svd(x)
+    u, s, v = svd(x, overwrite_a=overwrite_x)
     scaled = np.divide(u.T @ rhs, s, where=s > rcond * s[0], out=np.zeros_like(s))
     return v @ scaled

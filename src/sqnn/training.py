@@ -206,9 +206,18 @@ class TrainedModel:
         return float(out[0]) if np.ndim(x) == 1 else out
 
     def predict_class(self, x):
-        """Sign of the prediction in {-1, +1}; an exact 0 maps to +1."""
-        pred = self.predict(x)
-        cls = np.where(np.asarray(pred) >= 0, 1.0, -1.0)
+        """Sign of the prediction in {-1, +1}; an exact 0 maps to +1. A
+        non-finite prediction (from finite but extreme inputs) has no
+        class: ValueError names the first such row, in place of numpy's
+        overflow warnings."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred = self.predict(x)
+        arr = np.asarray(pred)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"prediction of row {bad[0]} is {arr.flat[bad[0]]}, "
+                             "which has no class")
+        cls = np.where(arr >= 0, 1.0, -1.0)
         return float(cls) if np.isscalar(pred) or np.ndim(pred) == 0 else cls
 
 
@@ -344,11 +353,12 @@ def lls_train(data, config: LlsConfig = LlsConfig()) -> TrainedModel:
 
     Builds the power design matrix, transforms labels with arctanh (after
     nudging +-1 inward by epsilon) and solves the linear system by
-    pseudoinverse. The model prediction is tanh of the fitted polynomial.
+    pseudoinverse, factorizing the design where it lies. The model
+    prediction is tanh of the fitted polynomial.
     """
     design, record = _design(data, config.K, config.normalize)
     rhs = arctanh_labels(data.targets, config.epsilon)
-    coeffs = linalg.lls_solve(design, rhs, rcond=config.rcond)
+    coeffs = linalg.lls_solve(design, rhs, rcond=config.rcond, overwrite_x=True)
     return TrainedModel(
         kind="lls", K=config.K, p=data.p,
         beta=PolynomialWeightFunction.from_flat(coeffs, config.K, data.p),

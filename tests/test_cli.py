@@ -16,7 +16,8 @@ import sqnn
 from sqnn import linalg, model_io
 from sqnn.cli import main
 from sqnn.datasets import load_csv
-from sqnn.training import GdConfig, LlsConfig, arctanh_labels
+from sqnn.features import PolynomialWeightFunction
+from sqnn.training import GdConfig, LlsConfig, TrainedModel, arctanh_labels
 
 from oracle import hstack_design, min_max_scale
 from conftest import fake_gesdd, write_synthetic_mnist
@@ -503,6 +504,17 @@ class TestRejectedValue:
         assert proc.returncode == 1
         assert proc.stderr == "error: matrix contains non-finite entries\n"
         assert "Traceback" not in proc.stdout and "RuntimeWarning" not in proc.stdout
+
+    def test_non_finite_prediction_has_no_class(self, runner, tmp_path, huge):
+        # x**2 of 1e200 is inf, and 0 * inf is nan: no class for that row
+        model = tmp_path / "zero.json"
+        model_io.save(TrainedModel(kind="lls", K=3, p=1,
+                                   beta=PolynomialWeightFunction(K=3, p=1)), model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invoke(runner, "eval", "--model", model, "--data", huge,
+                            "--task", "classification", expect=1)
+        assert "error: prediction of row 0 is nan, which has no class" in result.output
 
 
 class TestNumericFailure:

@@ -478,6 +478,22 @@ class TestGenerators:
         ds = gen_two_moons(n=1000, noise=0.07, seed=0)
         assert ds.n == 1000 and ds.p == 2
 
+    @pytest.mark.parametrize("generator, field, value", [
+        (gen_two_moons, "seed", -1),
+        (gen_two_moons, "seed", 2.5),
+        (gen_sinc, "seed", -1),
+        (gen_sinc, "seed", 2.5),
+        (gen_sinc, "n_train", 0),
+        (gen_sinc, "n_val", 2.5),
+        (gen_sinc, "n_test", -3),
+        (gen_two_moons, "noise", np.nan),
+        (gen_two_moons, "noise", np.inf),
+        (gen_sinc, "noise_sigma", np.nan),
+    ])
+    def test_bad_setting_is_rejected_by_name(self, generator, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            generator(**{field: value})
+
 
 class TestRealFiles:
     """Shape checks against the published files; skipped when absent."""

@@ -90,6 +90,51 @@ class TestSvd:
         np.testing.assert_allclose(np.abs(np.sum(u * u0, axis=0)), 1.0, atol=1e-10)
         np.testing.assert_allclose(np.abs(np.sum(v * vt0.T, axis=0)), 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(60, 7), (7, 60), (30, 30)])
+    def test_overwrite_factorizes_in_place_bit_for_bit(self, shape):
+        if linalg._dgesdd() is None:
+            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_dgesdd_work")
+        a = np.asfortranarray(np.random.default_rng(11).normal(size=shape))
+        copied = svd(a)
+        u, s, v = svd(a, overwrite_a=True)
+        # dgesdd writes U (tall or square) or V.T (wide) over a
+        assert np.shares_memory(u if shape[0] >= shape[1] else v, a)
+        for got, want in zip((u, s, v), copied):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["C-ordered", "read-only", "integer"])
+    def test_overwrite_leaves_other_inputs_unchanged(self, kind):
+        a = np.random.default_rng(12).normal(size=(40, 6))
+        if kind == "C-ordered":
+            a = np.ascontiguousarray(a)
+        elif kind == "read-only":
+            a = np.asfortranarray(a)
+            a.flags.writeable = False
+        else:
+            a = np.asfortranarray(np.rint(10 * a).astype(np.int64))
+        before = a.copy()
+        u, s, v = svd(a, overwrite_a=True)
+        assert np.array_equal(a, before)
+        for got, want in zip((u, s, v), svd(a)):
+            assert np.array_equal(got, want)
+
+    def test_overwrite_on_the_fallback_gives_the_same_result(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
+        a = np.asfortranarray(np.random.default_rng(13).normal(size=(40, 6)))
+        before = a.copy()
+        u, s, v = svd(a, overwrite_a=True)
+        assert np.array_equal(a, before)
+        for got, want in zip((u, s, v), svd(a)):
+            assert np.array_equal(got, want)
+
+    def test_overwrite_still_rejects_nonfinite_entries_first(self):
+        a = np.asfortranarray(np.random.default_rng(14).normal(size=(20, 4)))
+        a[3, 2] = np.nan
+        before = a.copy()
+        with pytest.raises(ValueError, match="finite"):
+            svd(a, overwrite_a=True)
+        assert np.array_equal(a, before, equal_nan=True)
+
     def test_invalid_lapack_argument_is_a_runtime_error(self, monkeypatch):
         monkeypatch.setattr(linalg, "_dgesdd", lambda: fake_gesdd(info=-5))
         with pytest.raises(RuntimeError, match="argument 5") as caught:
@@ -254,17 +299,25 @@ class TestLlsSolve:
             lls_solve(matrix, np.ones(rows))
 
     def test_one_svd_of_the_callers_matrix(self, monkeypatch):
-        # the solve factorizes the matrix it was given, once and whole
+        # the solve factorizes the matrix it was given, once and whole,
+        # and by default does not hand it over for overwriting
         calls = []
 
-        def spy(a):
-            calls.append(a)
-            return svd(a)
+        def spy(a, *, overwrite_a):
+            calls.append((a, overwrite_a))
+            return svd(a, overwrite_a=overwrite_a)
 
         monkeypatch.setattr(linalg, "svd", spy)
         a = np.asfortranarray(np.random.default_rng(8).normal(size=(40, 6)))
         lls_solve(a, np.ones(40))
-        assert len(calls) == 1 and calls[0] is a
+        ((called, overwrite),) = calls
+        assert called is a and overwrite is False
+
+    def test_default_flag_leaves_x_unchanged(self):
+        x = np.asfortranarray(np.random.default_rng(15).normal(size=(40, 6)))
+        before = x.copy()
+        lls_solve(x, np.ones(40))
+        assert np.array_equal(x, before)
 
 
 class FakeThreads:

@@ -480,6 +480,15 @@ class TestPredictionPaths:
         assert model.predict([0.3, -0.8]) == 0.0
         assert model.predict_class([0.3, -0.8]) == 1.0
 
+    @pytest.mark.parametrize("x, row", [([1e200], 0), (np.array([[1.0], [1e200]]), 1)])
+    def test_non_finite_prediction_has_no_class(self, x, row):
+        # finite inputs, but x**2 overflows and 0 * inf is nan
+        model = TrainedModel(kind="lls", K=3, p=1, beta=PolynomialWeightFunction(K=3, p=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.ravel(model.predict(x))[row])
+        with pytest.raises(ValueError, match=f"prediction of row {row} is nan"):
+            model.predict_class(x)
+
     def test_dimension_mismatch_names_sizes(self):
         model = TrainedModel(kind="lls", K=1, p=2,
                              beta=PolynomialWeightFunction(K=1, p=2))
@@ -591,14 +600,16 @@ class TestLlsTrain:
     def test_solve_holds_no_copy_of_the_scaled_inputs(self, monkeypatch):
         # tracemalloc counts numpy's allocations: what is live when the
         # SVD starts, beyond what the caller already held, is the design
-        # matrix and little else (the scaled inputs are already freed)
+        # matrix and little else (the scaled inputs are already freed);
+        # the fit hands that design over to be factorized in place
         data = make_dataset(np.random.default_rng(20), n=20_000, p=40, classification=True)
         svd, at_entry, designs = linalg.svd, [], []
 
-        def spy(a):
+        def spy(a, *, overwrite_a):
+            assert overwrite_a is True
             at_entry.append(tracemalloc.get_traced_memory()[0])
             designs.append(a)
-            return svd(a)
+            return svd(a, overwrite_a=overwrite_a)
 
         monkeypatch.setattr(linalg, "svd", spy)
         tracemalloc.start()
@@ -610,6 +621,20 @@ class TestLlsTrain:
         (design,) = designs
         assert design.shape == (20_000, 41)
         assert at_entry[0] - before <= 1.1 * design.nbytes
+
+    def test_fit_peaks_near_one_design(self):
+        # the SVD writes U over the design lls_train built, so the fit's
+        # peak holds no second matrix-sized array (a copy read 2.05 x)
+        data = make_dataset(np.random.default_rng(20), n=20_000, p=40, classification=True)
+        design_bytes = 20_000 * 41 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lls_train(data, LlsConfig(K=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.25 * design_bytes
 
     @pytest.mark.parametrize("epsilon", [1e-17, 0.0, 2.0])
     def test_arctanh_labels_applies_the_config_epsilon_rule(self, epsilon):
