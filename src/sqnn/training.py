@@ -213,10 +213,9 @@ class TrainedModel:
         with np.errstate(over="ignore", invalid="ignore"):
             pred = self.predict(x)
         arr = np.asarray(pred)
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise ValueError(f"prediction of row {bad[0]} is {arr.flat[bad[0]]}, "
-                             "which has no class")
+        if not linalg._all_finite(arr):
+            row = np.flatnonzero(~np.isfinite(arr))[0]
+            raise ValueError(f"prediction of row {row} is {arr.flat[row]}, which has no class")
         cls = np.where(arr >= 0, 1.0, -1.0)
         return float(cls) if np.isscalar(pred) or np.ndim(pred) == 0 else cls
 
