@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .features import NormalizationRecord, _count, dct_features
-from .linalg import _all_finite
+from .features import NormalizationRecord, _all_finite, _check_shape, _count, _real, dct_features
 
 __all__ = [
     "Dataset",
@@ -68,8 +67,7 @@ class Dataset:
     def __post_init__(self):
         X = np.asarray(self.inputs, dtype=float)
         y = np.asarray(self.targets, dtype=float)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise ValueError(f"inputs must be a non-empty (n, p) array, got shape {X.shape}")
+        _check_shape("inputs", X.shape)
         if y.shape != (X.shape[0],):
             raise ValueError(f"targets must have shape ({X.shape[0]},), got {y.shape}")
         if not (_all_finite(X) and _all_finite(y)):
@@ -343,13 +341,6 @@ def gen_logic_gate(gate: str) -> Dataset:
     return Dataset(inputs=inputs, targets=targets, tag=name.lower())
 
 
-def _check_noise(name: str, value) -> None:
-    """ValueError naming `name` unless the noise level is finite and
-    non-negative: a nan level would make every noisy sample nan."""
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-
-
 def gen_sinc(n_train: int = 800, n_val: int = 100, n_test: int = 100,
              noise_sigma: float = 0.0, seed: int = 0):
     """Train/validation/test splits of y = sin(x)/x with optional white noise.
@@ -360,7 +351,7 @@ def gen_sinc(n_train: int = 800, n_val: int = 100, n_test: int = 100,
     """
     for name, count in (("n_train", n_train), ("n_val", n_val), ("n_test", n_test)):
         _count(name, count)
-    _check_noise("noise_sigma", noise_sigma)
+    _real("noise_sigma", noise_sigma)
     rng = np.random.default_rng(_count("seed", seed, least=0))
 
     def make(n: int, part: str) -> Dataset:
@@ -381,7 +372,7 @@ def gen_two_moons(n: int = 1000, noise: float = 0.07, seed: int = 0) -> Dataset:
     arcs interlock. Labels are balanced within one sample.
     """
     _count("n", n, least=2)
-    _check_noise("noise", noise)
+    _real("noise", noise)
     rng = np.random.default_rng(_count("seed", seed, least=0))
     n_up = n // 2
     n_dn = n - n_up

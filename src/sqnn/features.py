@@ -72,6 +72,32 @@ def _count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def _real(name: str, value, positive: bool = False) -> float:
+    """`value` as a float when it is a finite real of at least 0 (above 0
+    when `positive`), else a ValueError naming `name`; never a bool. A nan
+    rcond would truncate every singular value, nan noise spoil every sample."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) and (
+            0 < value < np.inf if positive else 0 <= value < np.inf):
+        return float(value)
+    rule = "positive" if positive else "non-negative"
+    raise ValueError(f"{name} must be {rule} and finite, got {value!r}")
+
+
+def _check_shape(name: str, shape) -> None:
+    """ValueError naming `name` unless `shape` is 2-D with at least one
+    row and one column."""
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {shape}")
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array a is finite. min and max
+    propagate NaN, and an infinity is one of them, so two reductions
+    decide it without an isfinite mask the size of a. An empty array
+    never reaches them and counts as finite."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def _as_rows(x, p: int) -> tuple[np.ndarray, bool]:
     """Coerce a single p-vector or an (n, p) batch to 2-D; also whether
     it was a single vector."""
@@ -121,8 +147,7 @@ def _power_design(inputs, K: int, bounds):
     X = np.asarray(inputs, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise ValueError(f"inputs must be a non-empty 2-D array, got shape {X.shape}")
+    _check_shape("inputs", X.shape)
     n, p = X.shape
     design = np.empty((n, 1 + K * p), order="F")
     design[:, 0] = 1.0

@@ -42,6 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import _all_finite, _check_shape, _real
+
 __all__ = ["svd", "lls_solve", "default_rcond", "NumericFailure"]
 
 
@@ -49,22 +51,9 @@ class NumericFailure(RuntimeError):
     """Raised when the underlying factorization does not converge."""
 
 
-def _check_shape(shape) -> None:
-    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
-        raise ValueError(f"expected a non-empty 2-D matrix, got shape {shape}")
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of the float array a is finite. min and max
-    propagate NaN, and an infinity is one of them, so two reductions
-    decide it without an isfinite mask the size of a. An empty array
-    never reaches them and counts as finite."""
-    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
-
-
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
-    _check_shape(m.shape)
+    _check_shape("matrix", m.shape)
     if not _all_finite(m):
         raise ValueError("matrix contains non-finite entries")
     return m
@@ -165,14 +154,6 @@ def default_rcond(shape: tuple[int, int]) -> float:
     return float(np.finfo(float).eps * max(shape))
 
 
-def _check_rcond(rcond: float) -> float:
-    """rcond itself, or ValueError unless it is finite and non-negative: a
-    nan or infinite threshold truncates every singular value."""
-    if not 0 <= rcond < np.inf:
-        raise ValueError(f"rcond must be non-negative and finite, got {rcond}")
-    return rcond
-
-
 def svd(a, *, overwrite_a: bool = False):
     """Thin singular value decomposition A = U @ diag(s) @ V.T.
 
@@ -211,13 +192,13 @@ def lls_solve(x, y, rcond: float | None = None, *, overwrite_x: bool = False) ->
     unspecified.
     """
     shape = np.shape(x)
-    _check_shape(shape)
+    _check_shape("matrix", shape)
     rhs = np.asarray(y, dtype=float).ravel()
     if rhs.size != shape[0]:
         raise ValueError(f"right-hand side has {rhs.size} entries, expected {shape[0]}")
-    if not np.all(np.isfinite(rhs)):
+    if not _all_finite(rhs):
         raise ValueError("right-hand side contains non-finite entries")
-    rcond = default_rcond(shape) if rcond is None else _check_rcond(rcond)
+    rcond = default_rcond(shape) if rcond is None else _real("rcond", rcond)
     u, s, v = svd(x, overwrite_a=overwrite_x)
     scaled = np.divide(u.T @ rhs, s, where=s > rcond * s[0], out=np.zeros_like(s))
     return v @ scaled

@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .features import NormalizationRecord, PolynomialWeightFunction, _count
+from .features import NormalizationRecord, PolynomialWeightFunction, _all_finite, _count
 from .training import TrainedModel
 
 __all__ = ["save", "load", "FORMAT_VERSION", "UnsupportedFormat", "ModelFormatError"]
@@ -70,7 +70,7 @@ def _decode(doc: dict, name: str, size: int | None = None):
                           dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"field {name!r}: bad hex float ({exc})") from exc
-    if not np.all(np.isfinite(values)):
+    if not _all_finite(values):
         raise ModelFormatError(f"field {name!r} holds a non-finite value")
     if size is None:
         return float(values[0])

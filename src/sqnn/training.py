@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import circuit, linalg
-from .features import (NormalizationRecord, PolynomialWeightFunction, _as_rows,
-                       _count, _power_design)
+from .features import (NormalizationRecord, PolynomialWeightFunction, _all_finite,
+                       _as_rows, _count, _power_design, _real)
 
 __all__ = [
     "GdConfig",
@@ -93,19 +93,12 @@ class GdConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        # the chained comparisons are False for nan as well as out of range
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
+        _real("learning_rate", self.learning_rate, positive=True)
         _count("max_epochs", self.max_epochs)
         _count("seed", self.seed, least=0)
         _count("K", self.K)
-        if not 0 <= self.target_loss < math.inf:
-            raise ValueError(f"target_loss must be non-negative and finite, "
-                             f"got {self.target_loss}")
-        if not 0 <= self.init_scale < math.inf:
-            raise ValueError(f"init_scale must be non-negative and finite, "
-                             f"got {self.init_scale}")
+        _real("target_loss", self.target_loss)
+        _real("init_scale", self.init_scale)
         if self.loss not in ("mse", "hinge"):
             raise ValueError(f"loss must be 'mse' or 'hinge', got {self.loss!r}")
 
@@ -136,7 +129,7 @@ class LlsConfig:
         _count("K", self.K)
         _check_epsilon(self.epsilon)
         if self.rcond is not None:
-            linalg._check_rcond(self.rcond)
+            _real("rcond", self.rcond)
 
 
 def trainer_config(settings: dict):
@@ -185,7 +178,7 @@ class TrainedModel:
         """The power design of one input vector or an (n, p) batch, scaled
         by the stored feature bounds."""
         arr = _as_rows(x, self.p)[0]
-        if not linalg._all_finite(arr):
+        if not _all_finite(arr):
             raise ValueError("input holds non-finite values")
         record = self.normalization
         bounds = (None if record is None or record.feature_min is None
@@ -213,7 +206,7 @@ class TrainedModel:
         with np.errstate(over="ignore", invalid="ignore"):
             pred = self.predict(x)
         arr = np.asarray(pred)
-        if not linalg._all_finite(arr):
+        if not _all_finite(arr):
             row = np.flatnonzero(~np.isfinite(arr))[0]
             raise ValueError(f"prediction of row {row} is {arr.flat[row]}, which has no class")
         cls = np.where(arr >= 0, 1.0, -1.0)
@@ -341,7 +334,7 @@ def arctanh_labels(targets, epsilon: float = 1e-16) -> np.ndarray:
     epsilon follows LlsConfig's rule."""
     _check_epsilon(epsilon)
     y = np.asarray(targets, dtype=float)
-    if not np.all(np.isfinite(y)) or np.any(np.abs(y) > 1.0):
+    if not _all_finite(y) or np.any(np.abs(y) > 1.0):
         raise InvalidLabel("labels must lie in [-1, 1]")
     clipped = np.where(y >= 1.0, 1.0 - epsilon, np.where(y <= -1.0, -1.0 + epsilon, y))
     return np.arctanh(clipped)

@@ -28,6 +28,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-empty"):
             Dataset(inputs=np.empty((0, 2)), targets=np.empty(0))
 
+    def test_no_feature_column_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            Dataset(inputs=np.empty((3, 0)), targets=np.zeros(3))
+
     def test_finiteness_check_makes_no_mask_of_the_inputs(self):
         # tracemalloc counts numpy's allocations: an isfinite mask of the
         # inputs would take one byte per entry

@@ -16,9 +16,10 @@ from hypothesis.extra.numpy import arrays
 
 import sqnn
 from sqnn import model_io
-from sqnn.datasets import gen_two_moons, kfold_plan, load_csv
+from sqnn.datasets import gen_sinc, gen_two_moons, kfold_plan, load_csv
 from sqnn.features import (NormalizationRecord, PolynomialWeightFunction, _power_design,
                            build_design_matrix, dct_features, eval_angle)
+from sqnn.linalg import lls_solve
 from sqnn.training import GdConfig, LlsConfig, lls_train
 
 from oracle import dct2, hstack_design, idct2, poly_angle
@@ -332,3 +333,24 @@ def test_every_count_rejects_a_fraction_nan_bool_or_small_value(tmp_path, call, 
     error = model_io.ModelFormatError if name.startswith("field") else ValueError
     with pytest.raises(error, match=f"^{re.escape(name)} must be an? .*integer.*, got "):
         call(value, tmp_path)
+
+
+# (what, call(value), name in the message, whether 0 is rejected too)
+REALS = [
+    ("GdConfig.learning_rate", lambda v: GdConfig(learning_rate=v), "learning_rate", True),
+    ("GdConfig.target_loss", lambda v: GdConfig(target_loss=v), "target_loss", False),
+    ("GdConfig.init_scale", lambda v: GdConfig(init_scale=v), "init_scale", False),
+    ("LlsConfig.rcond", lambda v: LlsConfig(rcond=v), "rcond", False),
+    ("lls_solve.rcond", lambda v: lls_solve(np.eye(2), np.ones(2), rcond=v), "rcond", False),
+    ("gen_two_moons.noise", lambda v: gen_two_moons(noise=v), "noise", False),
+    ("gen_sinc.noise_sigma", lambda v: gen_sinc(noise_sigma=v), "noise_sigma", False),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{what}-{value!r}")
+    for what, call, name, positive in REALS
+    for value in [math.nan, math.inf, -1.0, True, "0.1"] + [0.0] * positive])
+def test_every_real_setting_rejects_a_nan_inf_negative_bool_or_text(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(value)
