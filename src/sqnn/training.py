@@ -55,9 +55,19 @@ class InvalidLabel(ValueError):
     """A label lies outside [-1, 1] and cannot pass through arctanh."""
 
 
+def _finite_predictions(pred, lacks: str) -> np.ndarray:
+    """pred as a float array, or ValueError naming its first non-finite
+    row, which has no `lacks` (a class, a squared error)."""
+    arr = np.asarray(pred, dtype=float)
+    if not _all_finite(arr):
+        row = np.flatnonzero(~np.isfinite(arr))[0]
+        raise ValueError(f"prediction of row {row} is {arr.flat[row]}, which has no {lacks}")
+    return arr
+
+
 def mse_loss(predictions, targets) -> float:
-    """Mean squared error (1/n) sum (yhat_i - y_i)^2."""
-    p = np.asarray(predictions, dtype=float).ravel()
+    """Mean squared error (1/n) sum (yhat_i - y_i)^2 of finite predictions."""
+    p = _finite_predictions(predictions, "squared error").ravel()
     t = np.asarray(targets, dtype=float).ravel()
     if p.size != t.size:
         raise ValueError(f"length mismatch: {p.size} predictions vs {t.size} targets")
@@ -186,29 +196,25 @@ class TrainedModel:
         return _power_design(arr, self.K, bounds)[0]
 
     def predict(self, x):
-        """Model output in [-1, 1] for one input vector or an (n, p) batch."""
-        design = self._design_for(x)
-        if self.kind == "lls":
-            out = np.tanh(design @ self.beta.flat())
-        elif self.kind == "gd-reduced":
-            out = circuit._cos_and_sin(design @ (-0.5 * self.beta.flat()))[0]
-        else:
-            out = circuit.expectation_batch(
-                design @ self.alpha.flat(), design @ self.beta.flat(),
-                design @ self.gamma.flat(), self.theta, self.omega)
+        """Model output in [-1, 1] for one input vector or an (n, p) batch;
+        nan, without numpy's warnings, where extreme inputs overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            design = self._design_for(x)
+            if self.kind == "lls":
+                out = np.tanh(design @ self.beta.flat())
+            elif self.kind == "gd-reduced":
+                out = circuit._cos_and_sin(design @ (-0.5 * self.beta.flat()))[0]
+            else:
+                out = circuit.expectation_batch(
+                    design @ self.alpha.flat(), design @ self.beta.flat(),
+                    design @ self.gamma.flat(), self.theta, self.omega)
         return float(out[0]) if np.ndim(x) == 1 else out
 
     def predict_class(self, x):
         """Sign of the prediction in {-1, +1}; an exact 0 maps to +1. A
-        non-finite prediction (from finite but extreme inputs) has no
-        class: ValueError names the first such row, in place of numpy's
-        overflow warnings."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            pred = self.predict(x)
-        arr = np.asarray(pred)
-        if not _all_finite(arr):
-            row = np.flatnonzero(~np.isfinite(arr))[0]
-            raise ValueError(f"prediction of row {row} is {arr.flat[row]}, which has no class")
+        non-finite prediction has no class: ValueError names its row."""
+        pred = self.predict(x)
+        arr = _finite_predictions(pred, "class")
         cls = np.where(arr >= 0, 1.0, -1.0)
         return float(cls) if np.isscalar(pred) or np.ndim(pred) == 0 else cls
 

@@ -516,6 +516,19 @@ class TestRejectedValue:
                             "--task", "classification", expect=1)
         assert "error: prediction of row 0 is nan, which has no class" in result.output
 
+    def test_non_finite_prediction_has_no_squared_error(self, runner, tmp_path):
+        # a gd-reduced fit at K=3 on small inputs; x**2 of 1e200 is inf
+        data, far = tmp_path / "small.csv", tmp_path / "far.csv"
+        data.write_text("x,y\n0.1,0.5\n0.2,0.3\n0.3,-0.1\n0.4,-0.4\n0.5,-0.6\n")
+        far.write_text("x,y\n1e200,0.5\n")
+        invoke(runner, "train", "--data", data, "--method", "gd-reduced", "--K", 3,
+               "--no-normalize", "--out", tmp_path / "m.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invoke(runner, "eval", "--model", tmp_path / "m.json", "--data", far,
+                            "--task", "regression", expect=1)
+        assert result.output == "error: prediction of row 0 is nan, which has no squared error\n"
+
 
 class TestNumericFailure:
     @pytest.mark.parametrize("args", [

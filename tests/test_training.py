@@ -87,6 +87,11 @@ class TestLosses:
         with pytest.raises(ValueError, match="mismatch"):
             mse_loss([1.0], [1.0, 2.0])
 
+    def test_non_finite_prediction_has_no_squared_error(self):
+        with pytest.raises(ValueError, match="^prediction of row 0 is nan, which has no "
+                                             "squared error$"):
+            mse_loss([np.nan, 0.0], [0.0, 0.0])
+
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
