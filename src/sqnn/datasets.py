@@ -420,7 +420,7 @@ def kfold_plan(n: int, k: int = 10, seed: int = 0, labels=None) -> FoldPlan:
     """
     _count("k", k, least=2)
     _count("seed", seed, least=0)
-    if k > n:
+    if k > _count("n", n):
         raise ValueError(f"k={k} exceeds the number of samples n={n}")
     rng = np.random.default_rng(seed)
     if labels is None:
@@ -440,7 +440,7 @@ def kfold_plan(n: int, k: int = 10, seed: int = 0, labels=None) -> FoldPlan:
 def split(dataset: Dataset, plan: FoldPlan, fold: int) -> tuple[Dataset, Dataset]:
     """(train, test) datasets for one fold of the plan; the test set is
     the fold itself and the train set its complement, in row order."""
-    if not 0 <= fold < plan.k:
+    if _count("fold", fold, least=0) >= plan.k:
         raise ValueError(f"fold must be in [0, {plan.k}), got {fold}")
     if plan.n != dataset.n:
         raise ValueError(f"plan covers {plan.n} samples but dataset has {dataset.n}")

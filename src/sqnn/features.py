@@ -239,7 +239,7 @@ def dct_features(images, keep: int | None = None) -> np.ndarray:
     side = imgs.shape[1]
     if keep is None:
         keep = side
-    elif not 1 <= keep <= side:
+    elif _count("keep", keep) > side:
         raise ValueError(f"keep must be in [1, {side}], got {keep}")
     c = _dct_matrix(side)[:keep]
     return (c @ imgs @ c.T).reshape(imgs.shape[0], -1)

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import sqnn
 from sqnn import model_io
-from sqnn.datasets import gen_sinc, gen_two_moons, kfold_plan, load_csv
+from sqnn.datasets import filter_pair, gen_sinc, gen_two_moons, kfold_plan, load_csv, split
 from sqnn.features import (NormalizationRecord, PolynomialWeightFunction, _power_design,
                            build_design_matrix, dct_features, eval_angle)
 from sqnn.linalg import lls_solve
@@ -321,6 +321,11 @@ COUNTS = [
     ("model file p", lambda v, tmp: _load_with(tmp, "p", v), "field 'p'", 1),
     ("kfold_plan.k", lambda v, _: kfold_plan(10, k=v), "k", 2),
     ("kfold_plan.seed", lambda v, _: kfold_plan(10, k=2, seed=v), "seed", 0),
+    ("kfold_plan.n", lambda v, _: kfold_plan(v, k=2), "n", 1),
+    ("split.fold", lambda v, _: split(gen_two_moons(4), kfold_plan(4, k=2), v), "fold", 0),
+    ("dct_features.keep", lambda v, _: dct_features(np.zeros((1, 3, 3)), keep=v), "keep", 1),
+    ("filter_pair.dct_block", lambda v, _: filter_pair(
+        np.zeros((2, 3, 3), np.uint8), np.array([0, 1]), 0, 1, dct_block=v), "keep", 1),
 ]
 
 
