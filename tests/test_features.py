@@ -357,5 +357,5 @@ REALS = [
     for what, call, name, positive in REALS
     for value in [math.nan, math.inf, -1.0, True, "0.1"] + [0.0] * positive])
 def test_every_real_setting_rejects_a_nan_inf_negative_bool_or_text(call, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be"):
+    with pytest.raises(ValueError, match=f"^{name} must be [a-z-]+ and finite, got "):
         call(value)
