@@ -176,11 +176,13 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    def resolve(col) -> int:
+    def resolve(col, field: str) -> int:
         if isinstance(col, str):
             if header is None or col not in header:
                 raise ValueError(f"{path}: no column named {col!r}")
             return header.index(col)
+        if isinstance(col, bool) or not isinstance(col, (int, np.integer)):
+            raise ValueError(f"{path}: {field} must be a column index or name, got {col!r}")
         idx = int(col)
         if not -ncols <= idx < ncols:
             raise ValueError(f"{path}: column index {idx} out of range for "
@@ -191,8 +193,8 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
     # one pass per column: strip, find the missing markers, convert
     columns = [[cell.strip() for cell in column] for column in zip(*rows)]
     del rows
-    dropped_cols = {resolve(c) for c in drop_cols}
-    target_idx = resolve(target_column)
+    dropped_cols = {resolve(c, "each drop_cols entry") for c in drop_cols}
+    target_idx = resolve(target_column, "target_column")
     if drop_sparse_cols is not None:
         dropped_cols |= {j for j, column in enumerate(columns) if j != target_idx and
                          sum(cell in MISSING_MARKERS for cell in column) / n > drop_sparse_cols}
@@ -308,9 +310,10 @@ def filter_pair(images, labels, a: int, b: int, *,
     only the top-left `dct_block` x `dct_block` low-frequency block),
     computed _DCT_CHUNK images at a time into the feature matrix.
     """
+    a, b = _count("a", a, least=0), _count("b", b, least=0)
     if a == b:
         raise ValueError("digit pair must be distinct")
-    if not (0 <= a <= 9 and 0 <= b <= 9):
+    if not (a <= 9 and b <= 9):
         raise ValueError(f"digits must be in 0..9, got {a} and {b}")
     images = np.asarray(images)
     if images.dtype != np.uint8:

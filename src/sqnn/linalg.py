@@ -1,9 +1,9 @@
 """Dense real linear algebra for the one-shot least-squares trainer.
 
-The factorization itself is delegated to LAPACK; the truncation rule and
-the minimum-norm solve are implemented here so their numerical contracts
-are explicit. Solving goes through the SVD of the design matrix directly
-instead of forming the normal equations, which would square the
+The factorizations are delegated to LAPACK; the truncation rule and the
+minimum-norm solve are implemented here so their numerical contracts are
+explicit. Solving goes through the SVD of the design matrix, or of its R
+factor, instead of forming the normal equations, which would square the
 condition number.
 
 Memory: svd calls LAPACK's divide-and-conquer dgesdd (Gu & Eisenstat,
@@ -15,11 +15,8 @@ workspace LAPACK asks for, where np.linalg.svd holds three: its working
 copy, its own U and the returned U. With overwrite_a (lls_solve's
 overwrite_x) set, a writeable, Fortran-ordered float64 matrix is itself
 that working array and no copy is made; lls_train hands over the design
-it built column-major for this. On a 12,665 x 785 design (76 MiB) the
-peak resident memory of the call grows by 108 MiB with the copy, 32 MiB
-without it (the workspace and the small factors), and 251 MiB through
-np.linalg.svd. Where numpy bundles no OpenBLAS (MKL, Accelerate, a
-system BLAS), svd calls np.linalg.svd instead, which ignores the flag.
+it built column-major for this. Where numpy bundles no OpenBLAS (MKL,
+Accelerate, a system BLAS), svd calls np.linalg.svd, which ignores the flag.
 
 Threads: a matrix of at most _ONE_THREAD_MAX_CELLS cells (m * n) is
 factorized on one OpenBLAS thread, and the earlier count is restored
@@ -30,6 +27,16 @@ afterwards, also when the factorization raises. On a 2-core x86-64 host
 small SVD runs every OpenBLAS call of the process uses one thread. The
 guard only lowers the count, so OPENBLAS_NUM_THREADS still caps it.
 Where numpy does not bundle OpenBLAS the guard does nothing.
+
+Tall designs (R-SVD; Chan, ACM TOMS 8, 1982): lls_solve reduces a design
+of more than _ONE_THREAD_MAX_CELLS cells with m >= 2n by Householder QR
+(dgeqrf, on the array svd would work on), applies Q.T to a copy of y
+(dormqr) and takes the SVD of the n x n R, which has X's singular values,
+so no m x n U is formed. On that host the solve took 0.57x the direct
+time at 12,665 x 785 (773 vs 1,366 ms) and 0.65x at 4,000 x 500, but
+1.02-1.80x from 180 x 5 to 512 x 301. At 12,665 x 785 (76 MiB) the call's
+peak memory grows by 84 MiB with the copy, 32 MiB without it (direct: 108
+and 32; np.linalg.svd: 251). Without both LAPACKE symbols it goes direct.
 """
 
 from __future__ import annotations
@@ -104,6 +111,44 @@ def _dgesdd():
     return None
 
 
+@functools.cache
+def _dgeqrf_dormqr():
+    """That library's LAPACKE_dgeqrf_work and LAPACKE_dormqr_work (64-bit
+    integers), or None where the library or a symbol is missing."""
+    with contextlib.suppress(AttributeError):
+        lib = _openblas()
+        geqrf, ormqr = lib.scipy_LAPACKE_dgeqrf_work64_, lib.scipy_LAPACKE_dormqr_work64_
+        doubles, i64, char = np.ctypeslib.ndpointer(np.float64), ctypes.c_int64, ctypes.c_char
+        geqrf.argtypes = [ctypes.c_int, i64, i64, doubles, i64, doubles, doubles, i64]
+        ormqr.argtypes = [ctypes.c_int, char, char, i64, i64, i64, doubles, i64, doubles,
+                          doubles, i64, doubles, i64]
+        geqrf.restype = ormqr.restype = i64
+        return geqrf, ormqr
+    return None
+
+
+def _lapack(name: str, routine, *args, tail=()) -> int:
+    """Call a LAPACKE _work routine, args then the workspace its own query (lwork
+    = -1) asks for, then tail. Returns LAPACK's info; an invalid argument raises."""
+    def call(work, lwork):
+        info = routine(*args, work, lwork, *tail)
+        if info < 0:
+            raise RuntimeError(f"LAPACKE_{name}_work: argument {-info} is invalid")
+        return info
+
+    query = np.empty(1)
+    call(query, -1)
+    lwork = int(query[0])
+    return call(np.empty(lwork), lwork)
+
+
+def _working_array(a, m: np.ndarray, overwrite: bool) -> np.ndarray:
+    """What LAPACK may write over for a (checked as m): under overwrite a itself
+    if it is a writeable, Fortran-ordered float64 array (only then is m a), else a copy."""
+    in_place = overwrite and m is a and m.flags.f_contiguous and m.flags.writeable
+    return m if in_place else np.array(m, order="F")
+
+
 def _gesdd_overwrite(gesdd, a: np.ndarray):
     """(U, s, V) of the Fortran-ordered matrix a by LAPACK's dgesdd with
     JOBZ='O', which writes U (m >= n) or V.T (m < n) over a; the only
@@ -114,19 +159,10 @@ def _gesdd_overwrite(gesdd, a: np.ndarray):
     square = np.empty((k, k), order="F")
     unused = np.empty(1)
     u, ldu, vt, ldvt = (unused, 1, square, k) if m >= n else (square, m, unused, 1)
-    iwork = np.empty(8 * k, dtype=np.int64)
-    query = np.empty(1)
-
-    def call(work, lwork):
-        info = gesdd(_COL_MAJOR, b"O", m, n, a, m, s, u, ldu, vt, ldvt, work, lwork, iwork)
-        if info < 0:
-            raise RuntimeError(f"LAPACKE_dgesdd_work: argument {-info} is invalid")
-        if info > 0:
-            raise NumericFailure(f"SVD did not converge (dgesdd info {info})")
-
-    call(query, -1)
-    lwork = int(query[0])
-    call(np.empty(lwork), lwork)
+    info = _lapack("dgesdd", gesdd, _COL_MAJOR, b"O", m, n, a, m, s, u, ldu, vt, ldvt,
+                   tail=(np.empty(8 * k, dtype=np.int64),))
+    if info > 0:
+        raise NumericFailure(f"SVD did not converge (dgesdd info {info})")
     return (a, s, square.T) if m >= n else (square, s, a.T)
 
 
@@ -170,9 +206,7 @@ def svd(a, *, overwrite_a: bool = False):
     try:
         with _threads_for(m.shape):
             if gesdd is not None:
-                # m is a only when a already is a float64 ndarray
-                in_place = overwrite_a and m is a and m.flags.f_contiguous and m.flags.writeable
-                return _gesdd_overwrite(gesdd, m if in_place else np.array(m, order="F"))
+                return _gesdd_overwrite(gesdd, _working_array(a, m, overwrite_a))
             u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"SVD did not converge: {exc}") from exc
@@ -186,10 +220,10 @@ def lls_solve(x, y, rcond: float | None = None, *, overwrite_x: bool = False) ->
     which equals the normal-equation solution (X.T @ X)^+ @ X.T @ Y but
     stays well conditioned. Singular values at or below rcond * s_max,
     the one truncation rule of this module, count as zero; rcond defaults
-    to default_rcond(X.shape). X is checked for non-finite entries once,
-    by svd, which factorizes it as given. overwrite_x is passed on as
-    svd's overwrite_a: with it set, X's contents afterwards are
-    unspecified.
+    to default_rcond(X.shape). A tall X is first reduced to its R factor (see
+    the module docstring); X is checked for non-finite entries before either
+    factorization. With overwrite_x set, a writeable, Fortran-ordered float64
+    X is the array LAPACK works on, and its contents afterwards are unspecified.
     """
     shape = np.shape(x)
     _check_shape("matrix", shape)
@@ -199,6 +233,13 @@ def lls_solve(x, y, rcond: float | None = None, *, overwrite_x: bool = False) ->
     if not _all_finite(rhs):
         raise ValueError("right-hand side contains non-finite entries")
     rcond = default_rcond(shape) if rcond is None else _real("rcond", rcond)
+    m, n = shape
+    qr = _dgeqrf_dormqr() if m * n > _ONE_THREAD_MAX_CELLS and m >= 2 * n else None
+    if qr is not None:  # x = Q @ R: dgeqrf writes R and Q's reflectors over x
+        x, tau, rhs = _working_array(x, _as_matrix(x), overwrite_x), np.empty(n), rhs.copy()
+        _lapack("dgeqrf", qr[0], _COL_MAJOR, m, n, x, m, tau)
+        _lapack("dormqr", qr[1], _COL_MAJOR, b"L", b"T", m, 1, n, x, m, tau, rhs, m)
+        x, rhs, overwrite_x = np.tril(x[:n].T).T, rhs[:n], True  # R, Fortran-ordered
     u, s, v = svd(x, overwrite_a=overwrite_x)
     scaled = np.divide(u.T @ rhs, s, where=s > rcond * s[0], out=np.zeros_like(s))
     return v @ scaled

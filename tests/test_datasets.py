@@ -231,6 +231,26 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="out of range"):
             load_csv(path, target_column=9)
 
+    @pytest.mark.parametrize("options, field", [
+        ({"target_column": 1.7}, "target_column"),
+        ({"target_column": True}, "target_column"),
+        ({"target_column": np.float64(2.0)}, "target_column"),
+        ({"drop_cols": (0.9,)}, "each drop_cols entry"),
+        ({"drop_cols": (False,)}, "each drop_cols entry"),
+    ])
+    def test_column_index_must_be_an_integer(self, tmp_path, options, field):
+        path = tmp_path / "t.csv"
+        path.write_text("1,2,3,0.5\n4,5,6,-0.5\n")
+        with pytest.raises(ValueError, match=f"{field} must be a column index or name, got "):
+            load_csv(path, **options)
+
+    def test_integer_indices_count_from_either_end(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("1,2,3,0.5\n4,5,6,-0.5\n")
+        ds = load_csv(path, target_column=np.int64(-1), drop_cols=(-2, np.int32(0)))
+        np.testing.assert_array_equal(ds.inputs, [[2.0], [5.0]])
+        np.testing.assert_array_equal(ds.targets, [0.5, -0.5])
+
 
 def csv_grid(data, n_rows, n_cols):
     """A header line plus n_rows x n_cols finite numeric cells."""
@@ -414,6 +434,22 @@ class TestFilterPair:
     def test_same_digit_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             filter_pair(np.zeros((1, 2, 2), dtype=np.uint8), np.array([1]), 1, 1)
+
+    @pytest.mark.parametrize("a, b, match", [
+        (True, 0, "a must be a non-negative integer, got True"),
+        (0.5, 1, "a must be a non-negative integer, got 0.5"),
+        (0, np.float64(1.0), "b must be a non-negative integer, got "),
+        (1, -1, "b must be a non-negative integer, got -1"),
+        (10, 1, "digits must be in 0..9, got 10 and 1"),
+    ])
+    def test_digits_are_checked_by_name(self, a, b, match):
+        images = byte_images(8, (4, 2, 2))
+        with pytest.raises(ValueError, match=match):
+            filter_pair(images, np.array([0, 1, 0, 1]), a, b)
+
+    def test_numpy_integer_digits_tag_the_set(self):
+        ds = filter_pair(byte_images(8, (4, 2, 2)), np.array([0, 1, 0, 1]), np.int64(1), 0)
+        assert ds.tag == "mnist-1v0" and ds.n == 4
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="no samples"):

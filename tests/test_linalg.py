@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,97 @@ class TestLlsSolve:
         before = x.copy()
         lls_solve(x, np.ones(40))
         assert np.array_equal(x, before)
+
+
+class Factorized(Exception):
+    """Raised by a stand-in for linalg.svd with the matrix it was given."""
+
+
+def tall(shape, seed=16):
+    rng = np.random.default_rng(seed)
+    return np.asfortranarray(rng.normal(size=shape)), rng.normal(size=shape[0])
+
+
+class TestQrRoute:
+    """A design of more than _ONE_THREAD_MAX_CELLS cells with at least twice
+    as many rows as columns is reduced by Householder QR to its n x n R,
+    whose SVD the solve then takes."""
+
+    @pytest.fixture(autouse=True)
+    def needs_the_bindings(self):
+        if linalg._dgeqrf_dormqr() is None:
+            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_dgeqrf_work and _dormqr_work")
+
+    @pytest.mark.parametrize("shape, reduced", [
+        ((1000, 1000), False), ((20000, 41), False), ((1500, 1000), False), ((3000, 400), True)])
+    def test_the_cell_limit_and_the_aspect_decide(self, monkeypatch, shape, reduced):
+        def stop(a, *, overwrite_a):
+            raise Factorized(a)
+
+        monkeypatch.setattr(linalg, "svd", stop)
+        x, y = tall(shape)
+        with pytest.raises(Factorized) as caught:
+            lls_solve(x, y)
+        (factorized,) = caught.value.args
+        if reduced:
+            n = shape[1]
+            assert factorized.shape == (n, n) and factorized.flags.f_contiguous
+            assert not np.any(np.tril(factorized, -1))
+            np.testing.assert_allclose(np.abs(np.diag(factorized)),
+                                       np.abs(np.diag(np.linalg.qr(x, mode="r"))), rtol=1e-12)
+        else:
+            assert factorized is x
+
+    def test_coefficients_match_the_direct_route(self, monkeypatch):
+        x, y = tall((3000, 400))
+        via_r = lls_solve(x, y)
+        monkeypatch.setattr(linalg, "_dgeqrf_dormqr", lambda: None)
+        direct = lls_solve(x, y)
+        assert np.max(np.abs(via_r - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_rank_deficient_gives_the_minimum_norm_solution(self):
+        x, y = tall((3000, 400))
+        x[:, -1] = x[:, 0]
+        np.testing.assert_allclose(lls_solve(x, y), pinv(x) @ y, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_nonfinite_x_is_rejected_before_any_factorization(self, overwrite):
+        x, y = tall((3000, 400))
+        x[1234, 56] = np.inf
+        before = x.copy()
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            lls_solve(x, y, overwrite_x=overwrite)
+        assert np.array_equal(x, before)
+
+    def test_default_flag_leaves_x_and_y_unchanged(self):
+        x, y = tall((3000, 400))
+        before = x.copy(), y.copy()
+        lls_solve(x, y)
+        assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+
+    def test_overwrite_factorizes_in_place_without_a_copy(self):
+        # dgeqrf writes over x itself. R, the SVD's square factor and its
+        # workspace come to about 0.8 of x here; the copy route holds a
+        # whole second matrix on top of those while it factorizes (1.17)
+        x, y = tall((3000, 400))
+        before_x = x.copy()
+        expected = lls_solve(x, y)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = lls_solve(x, y, overwrite_x=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < x.nbytes
+        assert not np.array_equal(x, before_x)
+        assert np.array_equal(got, expected)
+
+    def test_without_the_bindings_the_whole_matrix_is_factorized(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_dgeqrf_dormqr", lambda: None)
+        x, y = tall((3000, 400))
+        u, s, v = svd(x)
+        assert np.array_equal(lls_solve(x, y), v @ ((u.T @ y) / s))
 
 
 class FakeThreads:
