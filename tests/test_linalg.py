@@ -389,8 +389,8 @@ class TestQrRoute:
 
     def test_overwrite_factorizes_in_place_without_a_copy(self):
         # dgeqrf writes over x itself. R, the SVD's square factor and its
-        # workspace come to about 0.8 of x here; the copy route holds a
-        # whole second matrix on top of those while it factorizes (1.17)
+        # workspace come to about 0.8 of x here; the copy route peaks at
+        # about 1.17 of x (the copy, then R beside it)
         x, y = tall((3000, 400))
         before_x = x.copy()
         expected = lls_solve(x, y)
