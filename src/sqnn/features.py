@@ -3,11 +3,11 @@
 The polynomial weight function sums per-power dot products of the input
 coordinates, c0 + sum_k sum_j c_kj * x_j^k, and feeds a rotation angle.
 The least-squares model's output tanh of the polynomial is cos of the
-angle arccos(tanh(.)). The polynomial is built in one place: the power
-design matrix [1, x, x^2, ..., x^K], column-major, with the inputs
-min-max scaled inside its first block. Training fits the scaling
-bounds there and solves or descends over the design; prediction builds
-the same design with the stored bounds and takes design @ flat.
+angle arccos(tanh(.)). The polynomial is built in one place, by
+build_design_matrix: the column-major power design [1, x, ..., x^K],
+with the inputs min-max scaled inside its first block by a (lo, hi)
+pair. The trainers fit the pair as the inputs' column minima
+and maxima; prediction passes the stored pair and takes design @ flat.
 Image preprocessing uses the orthonormal type-II DCT, applied as the
 explicit basis matrix C: the coefficients of a square image X are
 C @ X @ C.T.
@@ -117,32 +117,23 @@ def eval_angle(f: PolynomialWeightFunction, x):
     return float(total[0]) if single else total
 
 
-def build_design_matrix(inputs, K: int) -> np.ndarray:
-    """Rows [1, x_1..x_p, x_1^2..x_p^2, ..., x_1^K..x_p^K] of the raw
-    inputs.
-
-    Column order matches PolynomialWeightFunction.flat(), so
-    design @ flat is the polynomial row-wise. The array is column-major:
-    the trainers' products design @ w and v @ design then read each
-    column contiguously. The trainers and TrainedModel.predict build
-    the same design, with the inputs min-max scaled inside it.
-    """
-    return _power_design(inputs, K, None)[0]
-
-
-# Cells (float64) per row tile of _power_design's copy into the
+# Cells (float64) per row tile of build_design_matrix's copy into the
 # column-major design: 1 MiB, one tile for every input up to 2**17 cells,
 # 167 rows at p = 784.
 _TILE_CELLS = 2 ** 17
 
 
-def _power_design(inputs, K: int, bounds):
-    """(design, lo, hi): build_design_matrix's design, with the inputs
-    min-max scaled onto [-1, 1] first unless `bounds` is None. `bounds`
-    "fit" takes lo and hi as the columns' minima and maxima; a stored
-    (lo, hi) pair scales by those. lo and hi are None when unscaled.
-    The inputs are copied once, into the first power block in row tiles,
-    and scaled there."""
+def build_design_matrix(inputs, K: int, bounds=None) -> np.ndarray:
+    """Rows [1, x_1..x_p, x_1^2..x_p^2, ..., x_1^K..x_p^K] of the inputs,
+    min-max scaled onto [-1, 1] by the (lo, hi) pair `bounds` first
+    unless it is None.
+
+    Column order matches PolynomialWeightFunction.flat(), so
+    design @ flat is the polynomial row-wise. The array is column-major:
+    the trainers' products design @ w and v @ design then read each
+    column contiguously. The inputs are copied once, into the first
+    power block in row tiles, and scaled there.
+    """
     _count("K", K)
     X = np.asarray(inputs, dtype=float)
     if X.ndim == 1:
@@ -157,15 +148,12 @@ def _power_design(inputs, K: int, bounds):
     tile = max(1, _TILE_CELLS // p)
     for start in range(0, n, tile):
         first[start:start + tile] = X[start:start + tile]
-    lo = hi = None
     if bounds is not None:
-        # fitted on the column-major block, where each column is contiguous
-        lo, hi = (first.min(axis=0), first.max(axis=0)) if bounds == "fit" else bounds
-        _to_unit(first, lo, hi)
+        _to_unit(first, *bounds)
     for k in range(2, K + 1):
         np.multiply(design[:, 1 + (k - 2) * p:1 + (k - 1) * p], first,
                     out=design[:, 1 + (k - 1) * p:1 + k * p])
-    return design, lo, hi
+    return design
 
 
 def _to_unit(v, lo, hi):

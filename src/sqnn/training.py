@@ -24,7 +24,7 @@ import numpy as np
 
 from . import circuit, linalg
 from .features import (NormalizationRecord, PolynomialWeightFunction, _all_finite,
-                       _as_rows, _count, _power_design, _real)
+                       _as_rows, _check_shape, _count, _real, build_design_matrix)
 
 __all__ = [
     "GdConfig",
@@ -113,7 +113,7 @@ class GdConfig:
             raise ValueError(f"loss must be 'mse' or 'hinge', got {self.loss!r}")
 
 
-def _check_shape(shape: str) -> None:
+def _check_model_shape(shape: str) -> None:
     if shape not in _GD_SHAPES:
         raise ValueError(f"model_shape must be 'reduced' or 'full', got {shape!r}")
 
@@ -150,7 +150,7 @@ def trainer_config(settings: dict):
     settings = dict(settings)
     shape = settings.pop("shape", None)
     if shape is not None:
-        _check_shape(shape)
+        _check_model_shape(shape)
     cls = LlsConfig if shape is None else GdConfig
     unknown = sorted(set(settings) - {f.name for f in fields(cls)})
     if unknown:
@@ -193,7 +193,7 @@ class TrainedModel:
         record = self.normalization
         bounds = (None if record is None or record.feature_min is None
                   else (record.feature_min, record.feature_max))
-        return _power_design(arr, self.K, bounds)[0]
+        return build_design_matrix(arr, self.K, bounds)
 
     def predict(self, x):
         """Model output in [-1, 1] for one input vector or an (n, p) batch;
@@ -227,10 +227,13 @@ def _design(data, K: int, normalize: bool):
     inside the design, so no scaled copy of them is made. Extreme powers
     overflow to inf without a warning: the SVD's input check and the
     divergence guard reject them."""
+    X = data.inputs
+    _check_shape("inputs", X.shape)
+    bounds = (X.min(axis=0), X.max(axis=0)) if normalize else None
     with np.errstate(over="ignore"):
-        design, lo, hi = _power_design(data.inputs, K, "fit" if normalize else None)
+        design = build_design_matrix(X, K, bounds)
     target_range = getattr(data, "target_range", None)
-    record = NormalizationRecord(lo, hi, *(target_range or (None, None)))
+    record = NormalizationRecord(*(bounds or (None, None)), *(target_range or (None, None)))
     return design, record if normalize or target_range is not None else None
 
 
@@ -300,7 +303,7 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     finite range. The residual's scale goes on the gradient, in place:
     g = grad(res); g *= lr * scale; w -= g.
     """
-    _check_shape(model_shape)
+    _check_model_shape(model_shape)
     n_params, make_value_and_grad, model_fields = _GD_SHAPES[model_shape]
     y = data.targets
     design, record = _design(data, config.K, config.normalize)

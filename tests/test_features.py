@@ -16,11 +16,11 @@ from hypothesis.extra.numpy import arrays
 
 import sqnn
 from sqnn import model_io
-from sqnn.datasets import filter_pair, gen_sinc, gen_two_moons, kfold_plan, load_csv, split
-from sqnn.features import (NormalizationRecord, PolynomialWeightFunction, _power_design,
-                           build_design_matrix, dct_features, eval_angle)
+from sqnn.datasets import Dataset, filter_pair, gen_sinc, gen_two_moons, kfold_plan, load_csv, split
+from sqnn.features import (NormalizationRecord, PolynomialWeightFunction, build_design_matrix,
+                           dct_features, eval_angle)
 from sqnn.linalg import lls_solve
-from sqnn.training import GdConfig, LlsConfig, lls_train
+from sqnn.training import GdConfig, LlsConfig, _design, lls_train
 
 from oracle import dct2, hstack_design, idct2, poly_angle
 
@@ -169,9 +169,12 @@ class TestNormalization:
         record = NormalizationRecord(inputs.min(axis=0), inputs.max(axis=0))
         np.testing.assert_allclose(record.apply_features(inputs).ravel(),
                                    [-1.0, 0.0, 1.0], atol=1e-15)
-        # the trainers fit the same bounds
-        _, lo, hi = _power_design(inputs, 1, "fit")
+        # the trainers fit the same bounds, and the design builder scales by them
+        _, fitted = _design(Dataset(inputs, np.zeros(3)), 1, True)
+        lo, hi = fitted.feature_min, fitted.feature_max
         assert (lo[0], hi[0]) == (0.0, 10.0)
+        np.testing.assert_array_equal(build_design_matrix(inputs, 1, (lo, hi))[:, 1],
+                                      record.apply_features(inputs).ravel())
 
     def test_constant_column_maps_to_zero(self, tmp_path):
         inputs = np.array([[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]])
@@ -204,7 +207,7 @@ class TestNormalization:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            _power_design(np.empty((0, 3)), 1, "fit")
+            build_design_matrix(np.empty((0, 3)), 1, (np.zeros(3), np.ones(3)))
 
     def test_missing_target_scaling_rejected(self):
         record = NormalizationRecord(feature_min=np.zeros(1), feature_max=np.ones(1))

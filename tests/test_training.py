@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from sqnn import linalg, training
 from sqnn.circuit import _cos_and_sin, expectation_batch
 from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
-from sqnn.features import (_TILE_CELLS, PolynomialWeightFunction, _power_design,
-                           build_design_matrix, eval_angle)
+from sqnn.features import (_TILE_CELLS, PolynomialWeightFunction, build_design_matrix,
+                           eval_angle)
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
                            TrainingDiverged, _design,
                            _loss_and_residual, arctanh_labels, gd_train, lls_train,
@@ -311,7 +311,7 @@ class TestDesign:
     def test_wide_input(self):
         self.check(make_dataset(np.random.default_rng(40), n=30, p=784), 2)
 
-    # _power_design copies the inputs in tiles of TILE rows at p = 784
+    # build_design_matrix copies the inputs in tiles of TILE rows at p = 784
     TILE = max(1, _TILE_CELLS // 784)
 
     def test_rows_past_two_tiles(self):
@@ -338,8 +338,7 @@ class TestDesign:
         lo, hi = fitted.min(axis=0), fitted.max(axis=0)
         X = rng.uniform(-2, 2, (2 * self.TILE + 3, 784))
         lo[3] = hi[3] = X[:, 3] = 0.5  # zero width
-        design, got_lo, got_hi = _power_design(X, 2, (lo, hi))
-        assert got_lo is lo and got_hi is hi
+        design = build_design_matrix(X, 2, (lo, hi))
         np.testing.assert_array_equal(design, hstack_design(min_max_scale(X, lo, hi), 2))
         assert design.flags.f_contiguous
 
