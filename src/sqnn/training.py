@@ -89,6 +89,12 @@ def _loss_and_residual(kind: str, yhat: np.ndarray, y: np.ndarray):
     return loss, np.multiply(np.sign(margin, out=margin), y, out=margin), -1.0 / n
 
 
+def _store(config, **values) -> None:
+    """Set checked values on a frozen config: plain ints and floats, as saved."""
+    for name, value in values.items():
+        object.__setattr__(config, name, value)
+
+
 @dataclass(frozen=True)
 class GdConfig:
     """Gradient-descent settings."""
@@ -103,12 +109,11 @@ class GdConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        _real("learning_rate", self.learning_rate, positive=True)
-        _count("max_epochs", self.max_epochs)
-        _count("seed", self.seed, least=0)
-        _count("K", self.K)
-        _real("target_loss", self.target_loss)
-        _real("init_scale", self.init_scale)
+        _store(self, learning_rate=_real("learning_rate", self.learning_rate, positive=True),
+               max_epochs=_count("max_epochs", self.max_epochs),
+               seed=_count("seed", self.seed, least=0), K=_count("K", self.K),
+               target_loss=_real("target_loss", self.target_loss),
+               init_scale=_real("init_scale", self.init_scale))
         if self.loss not in ("mse", "hinge"):
             raise ValueError(f"loss must be 'mse' or 'hinge', got {self.loss!r}")
 
@@ -118,11 +123,12 @@ def _check_model_shape(shape: str) -> None:
         raise ValueError(f"model_shape must be 'reduced' or 'full', got {shape!r}")
 
 
-def _check_epsilon(epsilon: float) -> None:
-    """The label nudge must move +-1 strictly inside (-1, 1): below about
-    1.1e-16, 1 - epsilon rounds to 1.0 and arctanh returns inf."""
-    if not 0 < epsilon < 1 or 1.0 - epsilon == 1.0:
+def _check_epsilon(epsilon) -> float:
+    """epsilon as a float that nudges +-1 strictly inside (-1, 1): below
+    about 1.1e-16, 1 - epsilon rounds to 1.0 and arctanh returns inf."""
+    if not 0 < epsilon < 1 or 1.0 - float(epsilon) == 1.0:
         raise ValueError(f"epsilon must be in (0, 1) with 1 - epsilon < 1, got {epsilon}")
+    return float(epsilon)
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,8 @@ class LlsConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        _count("K", self.K)
-        _check_epsilon(self.epsilon)
-        if self.rcond is not None:
-            _real("rcond", self.rcond)
+        _store(self, K=_count("K", self.K), epsilon=_check_epsilon(self.epsilon),
+               rcond=None if self.rcond is None else _real("rcond", self.rcond))
 
 
 def trainer_config(settings: dict):
@@ -181,8 +185,12 @@ class TrainedModel:
     def __post_init__(self):
         if self.kind not in ("gd-full", "gd-reduced", "lls"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "gd-full" and (self.alpha is None or self.gamma is None):
-            raise ValueError("five-angle model requires alpha and gamma polynomials")
+        for name in ("alpha", "beta", "gamma"):
+            poly, needed = getattr(self, name), name == "beta" or self.kind == "gd-full"
+            if (poly is not None) != needed:
+                raise ValueError(f"kind {self.kind!r} {'needs' if needed else 'takes no'} {name}")
+            if poly is not None and (poly.K, poly.p) != (self.K, self.p):
+                raise ValueError(f"{name} has K={poly.K}, p={poly.p}, not K={self.K}, p={self.p}")
 
     def _design_for(self, x) -> np.ndarray:
         """The power design of one input vector or an (n, p) batch, scaled

@@ -87,6 +87,22 @@ def test_round_trip_full_model(tmp_path, full_model):
     assert reloaded.config == full_model.config
 
 
+@pytest.mark.parametrize("train", [
+    lambda d: gd_train(d, GdConfig(K=np.int64(2), max_epochs=5))[0],
+    lambda d: lls_train(d, LlsConfig(K=np.int64(2))),
+    lambda d: gd_train(d, GdConfig(learning_rate=np.float32(0.1), max_epochs=5))[0],
+    lambda d: lls_train(d, LlsConfig(epsilon=np.float32(1e-7))),
+], ids=["gd-K-int64", "lls-K-int64", "gd-rate-float32", "lls-epsilon-float32"])
+def test_numpy_typed_settings_round_trip(tmp_path, train):
+    # the configs keep the plain int or float their rules accept
+    data = gen_two_moons(n=60, noise=0.07, seed=5)
+    model = train(data)
+    save(model, tmp_path / "m.json")
+    reloaded = load(tmp_path / "m.json")
+    np.testing.assert_array_equal(reloaded.predict(data.inputs), model.predict(data.inputs))
+    assert reloaded.config == model.config and type(reloaded.K) is int
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=models(), x=arrays(float, (4, 3), elements=st.floats(-2, 2)))
 def test_round_trip_is_bit_exact_for_random_models(model, x):

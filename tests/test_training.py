@@ -506,6 +506,40 @@ class TestPredictionPaths:
         with pytest.raises(ValueError, match=f"got shape {shape}"):
             model.predict(x)
 
+    @pytest.mark.parametrize("kind, K, p, parts, field", [
+        ("lls", 2, 3, {"beta": (1, 3)}, "beta has K=1, p=3, not K=2, p=3"),
+        ("gd-reduced", 1, 2, {"beta": (1, 3)}, "beta has K=1, p=3, not K=1, p=2"),
+        ("gd-full", 2, 2, {"beta": (2, 2), "alpha": (2, 2), "gamma": (1, 2)},
+         "gamma has K=1, p=2, not K=2, p=2"),
+        ("gd-reduced", 1, 2, {"beta": (1, 2), "alpha": (1, 2), "gamma": (1, 2)}, "takes no alpha"),
+        ("lls", 1, 2, {"beta": (1, 2), "gamma": (1, 2)}, "takes no gamma"),
+        ("gd-full", 1, 2, {"beta": (1, 2), "alpha": (1, 2)}, "needs gamma"),
+    ])
+    def test_parts_that_contradict_the_model_rejected(self, kind, K, p, parts, field):
+        polys = {name: PolynomialWeightFunction(K=k, p=q) for name, (k, q) in parts.items()}
+        with pytest.raises(ValueError, match=field):
+            TrainedModel(kind=kind, K=K, p=p, **polys)
+
+    @pytest.mark.parametrize("kind", ["lls", "gd-full", "gd-reduced"])
+    def test_one_design_build_per_fit_and_per_predict(self, kind, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return build_design_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(training, "build_design_matrix", counting)
+        data = make_dataset(np.random.default_rng(46), n=20, p=3, classification=True)
+        if kind == "lls":
+            model = lls_train(data, LlsConfig(K=2))
+        else:
+            model, _ = gd_train(data, GdConfig(K=2, max_epochs=4),
+                                model_shape=kind.removeprefix("gd-"))
+        assert calls == [(20, 3)]
+        model.predict(data.inputs[:5])
+        model.predict(data.inputs[0])
+        assert calls == [(20, 3), (5, 3), (1, 3)]
+
     @pytest.mark.parametrize("kind", ["lls", "gd-full", "gd-reduced"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, kind, bad):
