@@ -6,8 +6,8 @@ The least-squares model's output tanh of the polynomial is cos of the
 angle arccos(tanh(.)). The polynomial is built in one place, by
 build_design_matrix: the column-major power design [1, x, ..., x^K],
 with the inputs min-max scaled inside its first block by a (lo, hi)
-pair. The trainers fit the pair as the inputs' column minima
-and maxima; prediction passes the stored pair and takes design @ flat.
+pair. The trainers fit the pair as the inputs' column minima and
+maxima; prediction passes the stored pair and takes design @ flat.
 Image preprocessing uses the orthonormal type-II DCT, applied as the
 explicit basis matrix C: the coefficients of a square image X are
 C @ X @ C.T.

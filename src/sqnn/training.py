@@ -236,7 +236,7 @@ def _design(data, K: int, normalize: bool):
     overflow to inf without a warning: the SVD's input check and the
     divergence guard reject them."""
     X = data.inputs
-    _check_shape("inputs", X.shape)
+    _check_shape("inputs", X.shape)  # min and max need a row
     bounds = (X.min(axis=0), X.max(axis=0)) if normalize else None
     with np.errstate(over="ignore"):
         design = build_design_matrix(X, K, bounds)
