@@ -49,6 +49,9 @@ class PolynomialWeightFunction:
         c = np.zeros((self.K, self.p)) if self.c is None else np.asarray(self.c, dtype=float)
         if c.shape != (self.K, self.p):
             raise ValueError(f"coefficient matrix must be {self.K}x{self.p}, got {c.shape}")
+        for name, value in (("c0", np.asarray(self.c0, dtype=float)), ("c", c)):
+            if not _all_finite(value):
+                raise ValueError(f"{name!r} holds a non-finite value")
         object.__setattr__(self, "c", c)
 
     @classmethod
@@ -81,6 +84,13 @@ def _real(name: str, value, positive: bool = False) -> float:
         return float(value)
     rule = "positive" if positive else "non-negative"
     raise ValueError(f"{name} must be {rule} and finite, got {value!r}")
+
+
+def _flag(name: str, value) -> bool:
+    """`value` as a bool when it is a Python or numpy bool, else a ValueError naming `name`."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{name} must be True or False, got {value!r}")
 
 
 def _check_shape(name: str, shape) -> None:
@@ -185,6 +195,24 @@ class NormalizationRecord:
     target_min: float | None = None
     target_max: float | None = None
 
+    def __post_init__(self):
+        for lo, hi, ndim in (("feature_min", "feature_max", 1), ("target_min", "target_max", 0)):
+            low, high = getattr(self, lo), getattr(self, hi)
+            if (low is None) != (high is None):
+                raise ValueError(f"{lo!r} and {hi!r} must be given together")
+            if low is None:
+                continue
+            low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+            if low.ndim != ndim or low.shape != high.shape:
+                raise ValueError(f"{lo!r} and {hi!r} must be {'1-D' if ndim else 'scalars'} "
+                                 f"of one size, got shapes {low.shape} and {high.shape}")
+            for name, value in ((lo, low), (hi, high)):
+                if not _all_finite(value):
+                    raise ValueError(f"{name!r} holds a non-finite value")
+                object.__setattr__(self, name, value if ndim else float(value))
+            if (high < low).any():
+                raise ValueError(f"{hi!r} lies below {lo!r}")
+
     def apply_features(self, inputs):
         if self.feature_min is None:
             return np.asarray(inputs, dtype=float)
@@ -193,7 +221,7 @@ class NormalizationRecord:
         return scaled[0] if single else scaled
 
     def _target_range(self) -> tuple[float, float]:
-        if self.target_min is None or self.target_max is None:
+        if self.target_min is None:
             raise ValueError("record carries no target scaling")
         return self.target_min, self.target_max
 

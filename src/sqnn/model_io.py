@@ -2,24 +2,14 @@
 
 Models are stored as a JSON key/value tree. Every floating-point
 coefficient is encoded as a C99 hex-float string (float.hex), so a
-reloaded model reproduces predictions bit for bit. A file holding a
-non-finite number ("nan", "inf") is rejected. Files are written to a
-temporary sibling and renamed into place.
+reloaded model reproduces predictions bit for bit. A model that
+constructs saves and loads, and a file loads only when its model
+constructs: the model types hold every validity rule, and load only
+decodes, so a constructor's ValueError comes back as ModelFormatError.
+Files are written to a temporary sibling and renamed into place.
 
-Format version 1 fields:
-    format_version   int, always 1
-    kind             "gd-full" | "gd-reduced" | "lls"
-    K, p             polynomial degree and input dimension
-    coefficients     flat hex-float list [c0, c_11..c_1p, ..., c_K1..c_Kp]
-                     for the Ry-angle polynomial
-    alpha, gamma     same layout for the two Rz-angle polynomials
-                     (null unless kind is "gd-full")
-    theta, omega     hex-float scalars (state / observable angles)
-    normalization    {feature_min, feature_max: hex lists, both or
-                      neither null; target_min, target_max: hex or
-                      null} or null; no max lies below its min
-    config           trainer settings snapshot (plain JSON)
-    created          ISO-8601 UTC timestamp
+README "Model files" lists the keys of format version 1; each
+polynomial is stored in PolynomialWeightFunction.flat() order.
 """
 
 from __future__ import annotations
@@ -31,7 +21,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .features import NormalizationRecord, PolynomialWeightFunction, _all_finite, _count
+from .features import NormalizationRecord, PolynomialWeightFunction, _count
 from .training import TrainedModel
 
 __all__ = ["save", "load", "FORMAT_VERSION", "UnsupportedFormat", "ModelFormatError"]
@@ -59,24 +49,16 @@ def _encode(value):
     return float(arr).hex() if arr.ndim == 0 else [float(v).hex() for v in arr.ravel()]
 
 
-def _decode(doc: dict, name: str, size: int | None = None):
-    """Inverse of _encode for `doc[name]`: one finite float when `size`
-    is None, else an array of exactly `size` finite floats."""
+def _decode(doc: dict, name: str, many: bool = False):
+    """Inverse of _encode for `doc[name]`: a float, or an array when `many`."""
     raw = doc.get(name)
-    if size is not None and not isinstance(raw, list):
+    if many and not isinstance(raw, list):
         raise ModelFormatError(f"field {name!r} must be a list of hex floats")
     try:
-        values = np.array([float.fromhex(v) for v in ([raw] if size is None else raw)],
-                          dtype=float)
+        values = [float.fromhex(v) for v in (raw if many else [raw])]
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"field {name!r}: bad hex float ({exc})") from exc
-    if not _all_finite(values):
-        raise ModelFormatError(f"field {name!r} holds a non-finite value")
-    if size is None:
-        return float(values[0])
-    if values.size != size:
-        raise ModelFormatError(f"field {name!r} has {values.size} entries, expected {size}")
-    return values
+    return np.array(values, dtype=float) if many else values[0]
 
 
 def save(model: TrainedModel, path) -> None:
@@ -126,41 +108,28 @@ def load(path) -> TrainedModel:
         raise UnsupportedFormat(f"format_version {version!r} is not supported "
                                 f"(this build reads version {FORMAT_VERSION})")
 
-    kind = doc.get("kind")
-    if kind not in ("gd-full", "gd-reduced", "lls"):
-        raise ModelFormatError(f"field 'kind' has unknown value {kind!r}")
     try:
         K, p = (_count(f"field {name!r}", doc.get(name)) for name in ("K", "p"))
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-
-    n_coef = 1 + K * p
-    beta = PolynomialWeightFunction.from_flat(_decode(doc, "coefficients", n_coef), K, p)
-    alpha = gamma = None
-    if kind == "gd-full":
-        alpha = PolynomialWeightFunction.from_flat(_decode(doc, "alpha", n_coef), K, p)
-        gamma = PolynomialWeightFunction.from_flat(_decode(doc, "gamma", n_coef), K, p)
-
-    norm = None
+    parts = {}
+    for name, key in (("beta", "coefficients"), ("alpha", "alpha"), ("gamma", "gamma")):
+        if name == "beta" or doc.get(key) is not None:
+            flat = _decode(doc, key, many=True)
+            try:
+                parts[name] = PolynomialWeightFunction.from_flat(flat, K, p)
+            except ValueError as exc:
+                raise ModelFormatError(f"field {key!r}: {exc}") from None
     raw_norm = doc.get("normalization")
-    if raw_norm is not None:
-        if not isinstance(raw_norm, dict):
-            raise ModelFormatError("field 'normalization' must be an object or null")
-        fields = {name: None if raw_norm.get(name) is None else
-                  _decode(raw_norm, name, p if name.startswith("feature") else None)
-                  for name in _NORM_FIELDS}
-        if (fields["feature_min"] is None) != (fields["feature_max"] is None):
-            raise ModelFormatError("fields 'feature_min' and 'feature_max' must both be "
-                                   "present or both be null")
-        for lo, hi in (("feature_min", "feature_max"), ("target_min", "target_max")):
-            if (fields[lo] is not None and fields[hi] is not None
-                    and np.any(fields[hi] < fields[lo])):
-                raise ModelFormatError(f"field {hi!r} lies below {lo!r}")
-        norm = NormalizationRecord(**fields)
-
-    config = doc.get("config") or {}
-    if not isinstance(config, dict):
-        raise ModelFormatError("field 'config' must be an object")
-    return TrainedModel(kind=kind, K=K, p=p, beta=beta, alpha=alpha, gamma=gamma,
-                        theta=_decode(doc, "theta"), omega=_decode(doc, "omega"),
-                        normalization=norm, config=config)
+    if not isinstance(raw_norm, (dict, type(None))):
+        raise ModelFormatError("field 'normalization' must be an object or null")
+    norm = None if raw_norm is None else {
+        name: None if raw_norm.get(name) is None else
+        _decode(raw_norm, name, many=name.startswith("feature")) for name in _NORM_FIELDS}
+    theta, omega = _decode(doc, "theta"), _decode(doc, "omega")
+    try:
+        return TrainedModel(kind=doc.get("kind"), K=K, p=p, **parts, theta=theta, omega=omega,
+                            normalization=None if norm is None else NormalizationRecord(**norm),
+                            config=doc.get("config") or {})
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None

@@ -16,6 +16,7 @@ transformed space.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import circuit, linalg
 from .features import (NormalizationRecord, PolynomialWeightFunction, _all_finite,
-                       _as_rows, _check_shape, _count, _real, build_design_matrix)
+                       _as_rows, _check_shape, _count, _flag, _real, build_design_matrix)
 
 __all__ = [
     "GdConfig",
@@ -89,10 +90,10 @@ def _loss_and_residual(kind: str, yhat: np.ndarray, y: np.ndarray):
     return loss, np.multiply(np.sign(margin, out=margin), y, out=margin), -1.0 / n
 
 
-def _store(config, **values) -> None:
-    """Set checked values on a frozen config: plain ints and floats, as saved."""
+def _store(instance, **values) -> None:
+    """Set checked values on a frozen dataclass: plain values, as saved."""
     for name, value in values.items():
-        object.__setattr__(config, name, value)
+        object.__setattr__(instance, name, value)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,8 @@ class GdConfig:
                max_epochs=_count("max_epochs", self.max_epochs),
                seed=_count("seed", self.seed, least=0), K=_count("K", self.K),
                target_loss=_real("target_loss", self.target_loss),
-               init_scale=_real("init_scale", self.init_scale))
+               init_scale=_real("init_scale", self.init_scale),
+               normalize=_flag("normalize", self.normalize))
         if self.loss not in ("mse", "hinge"):
             raise ValueError(f"loss must be 'mse' or 'hinge', got {self.loss!r}")
 
@@ -143,7 +145,8 @@ class LlsConfig:
 
     def __post_init__(self):
         _store(self, K=_count("K", self.K), epsilon=_check_epsilon(self.epsilon),
-               rcond=None if self.rcond is None else _real("rcond", self.rcond))
+               rcond=None if self.rcond is None else _real("rcond", self.rcond),
+               normalize=_flag("normalize", self.normalize))
 
 
 def trainer_config(settings: dict):
@@ -169,6 +172,7 @@ class TrainedModel:
     `beta` always holds the polynomial for the Ry angle. The five-angle
     network ("gd-full") additionally carries polynomials for both Rz
     angles and scalar state/observable angles; they are None/0 otherwise.
+    Whatever constructs is a valid model: it saves, and its file loads.
     """
 
     kind: str  # "gd-full" | "gd-reduced" | "lls"
@@ -184,13 +188,27 @@ class TrainedModel:
 
     def __post_init__(self):
         if self.kind not in ("gd-full", "gd-reduced", "lls"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"'kind' must be 'gd-full', 'gd-reduced' or 'lls', got {self.kind!r}")
+        _store(self, K=_count("K", self.K), p=_count("p", self.p))
         for name in ("alpha", "beta", "gamma"):
             poly, needed = getattr(self, name), name == "beta" or self.kind == "gd-full"
             if (poly is not None) != needed:
                 raise ValueError(f"kind {self.kind!r} {'needs' if needed else 'takes no'} {name}")
             if poly is not None and (poly.K, poly.p) != (self.K, self.p):
                 raise ValueError(f"{name} has K={poly.K}, p={poly.p}, not K={self.K}, p={self.p}")
+        if not isinstance(self.config, dict):
+            raise ValueError(f"'config' must be a dict, got {self.config!r}")
+        try:
+            json.dumps(self.config)
+        except TypeError as exc:
+            raise ValueError(f"'config' must hold plain JSON values: {exc}") from None
+        for name in ("theta", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name!r} must be finite, got {getattr(self, name)!r}")
+        lo = None if self.normalization is None else self.normalization.feature_min
+        if lo is not None and lo.size != self.p:
+            raise ValueError(f"'feature_min' and 'feature_max' have {lo.size} entries, "
+                             f"not p={self.p}")
 
     def _design_for(self, x) -> np.ndarray:
         """The power design of one input vector or an (n, p) batch, scaled

@@ -637,6 +637,37 @@ class TestModelFileErrors:
         result = invoke(runner, "eval", "--model", model, "--data", data, expect=3)
         assert "bad model file" in result.output and "feature_max" in result.output
 
+    # (what, edit of the saved lls file's JSON, field the message names);
+    # the model types hold each rule, and load passes it on as exit 3
+    EDITS = [
+        ("kind", lambda doc: doc.update(kind="mystery"), "kind"),
+        ("coefficient-count", lambda doc: doc["coefficients"].pop(), "coefficients"),
+        ("alpha-on-lls", lambda doc: doc.update(alpha=doc["coefficients"]), "alpha"),
+        ("theta", lambda doc: doc.update(theta="nan"), "theta"),
+        ("max-below-min", lambda doc: doc["normalization"].update(
+            target_min="0x1.0p+1", target_max="0x1.0p+0"), "target_max' lies below"),
+        ("half-feature-range", lambda doc: doc["normalization"].update(feature_max=None),
+         "feature_max"),
+        ("half-target-range", lambda doc: doc["normalization"].update(target_min="0x1.0p+0"),
+         "target_max"),
+        ("feature-bounds-size", lambda doc: [doc["normalization"][name].append("0x1.0p+0")
+                                             for name in ("feature_min", "feature_max")],
+         "feature_min"),
+    ]
+
+    @pytest.mark.parametrize("edit, field", [e[1:] for e in EDITS], ids=[e[0] for e in EDITS])
+    def test_bad_model_file_names_the_field(self, runner, tmp_path, edit, field):
+        data = tmp_path / "moons.csv"
+        model = tmp_path / "m.json"
+        invoke(runner, "gen", "two-moons", "--n", 40, "--out", data)
+        invoke(runner, "train", "--data", data, "--method", "lls", "--out", model)
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        result = invoke(runner, "eval", "--model", model, "--data", data,
+                        "--task", "regression", expect=3)
+        assert "error: bad model file: " in result.output and field in result.output
+
 
 class TestUnwritableOutput:
     """An output path that cannot be written exits 3 with `cannot write`

@@ -92,15 +92,52 @@ def test_round_trip_full_model(tmp_path, full_model):
     lambda d: lls_train(d, LlsConfig(K=np.int64(2))),
     lambda d: gd_train(d, GdConfig(learning_rate=np.float32(0.1), max_epochs=5))[0],
     lambda d: lls_train(d, LlsConfig(epsilon=np.float32(1e-7))),
-], ids=["gd-K-int64", "lls-K-int64", "gd-rate-float32", "lls-epsilon-float32"])
+    lambda d: gd_train(d, GdConfig(normalize=np.bool_(True), max_epochs=5))[0],
+    lambda d: lls_train(d, LlsConfig(normalize=np.bool_(False))),
+    lambda d: TrainedModel(kind="lls", K=np.int64(1), p=np.int64(2),
+                           beta=PolynomialWeightFunction(K=1, p=2, c0=0.5)),
+], ids=["gd-K-int64", "lls-K-int64", "gd-rate-float32", "lls-epsilon-float32",
+        "gd-normalize-bool_", "lls-normalize-bool_", "model-K-p-int64"])
 def test_numpy_typed_settings_round_trip(tmp_path, train):
-    # the configs keep the plain int or float their rules accept
+    # the configs and the model keep the plain int, float or bool their rules accept
     data = gen_two_moons(n=60, noise=0.07, seed=5)
     model = train(data)
     save(model, tmp_path / "m.json")
     reloaded = load(tmp_path / "m.json")
     np.testing.assert_array_equal(reloaded.predict(data.inputs), model.predict(data.inputs))
     assert reloaded.config == model.config and type(reloaded.K) is int
+
+
+def _lls_model(**fields):
+    """A hand-built K=1, p=2 lls model with `fields` replaced."""
+    return TrainedModel(**{"kind": "lls", "K": 1, "p": 2,
+                           "beta": PolynomialWeightFunction(K=1, p=2), **fields})
+
+
+# Each of these once constructed, and save then wrote a file load refused.
+UNSAVEABLE = [
+    ("feature-bounds-of-3-on-p-2", lambda: _lls_model(
+        normalization=NormalizationRecord(np.zeros(3), np.ones(3))), "'feature_min'"),
+    ("feature-max-below-min", lambda: NormalizationRecord(
+        np.zeros(2), np.array([1.0, -1.0])), "'feature_max' lies below 'feature_min'"),
+    ("feature-min-alone", lambda: NormalizationRecord(np.zeros(2), None), "'feature_max'"),
+    ("nan-bound", lambda: NormalizationRecord(
+        np.zeros(2), np.array([1.0, np.nan])), "'feature_max' holds a non-finite"),
+    ("target-max-below-min", lambda: NormalizationRecord(
+        None, None, 2.0, 1.0), "'target_max' lies below 'target_min'"),
+    ("nan-theta", lambda: _lls_model(theta=np.nan), "'theta' must be finite"),
+    ("config-not-a-dict", lambda: _lls_model(config=[1]), "'config' must be a dict"),
+    ("config-not-json", lambda: _lls_model(config={"K": np.int64(1)}), "'config' must hold"),
+    ("nan-coefficient", lambda: PolynomialWeightFunction(
+        K=1, p=2, c=np.array([[0.5, np.nan]])), "'c' holds a non-finite"),
+]
+
+
+@pytest.mark.parametrize("build, field", [case[1:] for case in UNSAVEABLE],
+                         ids=[case[0] for case in UNSAVEABLE])
+def test_a_model_save_could_not_load_is_rejected_at_construction(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 @settings(max_examples=60, deadline=None)

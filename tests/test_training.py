@@ -719,3 +719,9 @@ class TestTrainerConfig:
             GdConfig(loss="mae")
         with pytest.raises(ValueError, match="'mae'"):
             trainer_config({"shape": "full", "loss": "mae"})
+
+    @pytest.mark.parametrize("cls", [GdConfig, LlsConfig])
+    def test_a_non_bool_normalize_is_rejected_by_name(self, cls):
+        # a truthy string once trained a normalized model
+        with pytest.raises(ValueError, match="^normalize must be True or False, got 'no'"):
+            cls(normalize="no")
