@@ -2,9 +2,8 @@
 
 The factorizations are delegated to LAPACK; the truncation rule and the
 minimum-norm solve are implemented here so their numerical contracts are
-explicit. Solving goes through the SVD of the design matrix, or of its R
-factor, instead of forming the normal equations, which would square the
-condition number.
+explicit. Solving goes through the SVD of the design matrix instead of
+forming the normal equations, which would square the condition number.
 
 Memory: svd calls LAPACK's divide-and-conquer dgesdd (Gu & Eisenstat,
 SIAM J. Matrix Anal. Appl. 16, 1995) through LAPACKE in the OpenBLAS
@@ -28,15 +27,11 @@ small SVD runs every OpenBLAS call of the process uses one thread. The
 guard only lowers the count, so OPENBLAS_NUM_THREADS still caps it.
 Where numpy does not bundle OpenBLAS the guard does nothing.
 
-Tall designs (R-SVD; Chan, ACM TOMS 8, 1982): lls_solve reduces a design
-of more than _ONE_THREAD_MAX_CELLS cells with m >= 2n by Householder QR
-(dgeqrf, on the array svd would work on), applies Q.T to a copy of y
-(dormqr) and takes the SVD of the n x n R, which has X's singular values,
-so no m x n U is formed. On that host the solve took 0.57x the direct
-time at 12,665 x 785 (773 vs 1,366 ms) and 0.65x at 4,000 x 500, but
-1.02-1.80x from 180 x 5 to 512 x 301. At 12,665 x 785 (76 MiB) the call's
-peak memory grows by 84 MiB with the copy, 32 MiB without it (direct: 108
-and 32; np.linalg.svd: 251). Without both LAPACKE symbols it goes direct.
+Large designs: lls_solve hands a design of more than _ONE_THREAD_MAX_CELLS
+cells to LAPACK's least-squares driver dgelsd, in one call on the array svd
+would work on. dgelsd has the same truncation rule and never forms U: under
+overwrite_x the call grows by 0.9 MiB at 12,665 x 785 (76 MiB), where the QR
+route it replaced grew by 28 MiB. Without the symbol every design goes to svd.
 """
 
 from __future__ import annotations
@@ -112,34 +107,35 @@ def _dgesdd():
 
 
 @functools.cache
-def _dgeqrf_dormqr():
-    """That library's LAPACKE_dgeqrf_work and LAPACKE_dormqr_work (64-bit
-    integers), or None where the library or a symbol is missing."""
+def _dgelsd():
+    """That library's LAPACKE_dgelsd_work (64-bit integers), or None where
+    the library or the symbol is missing."""
     with contextlib.suppress(AttributeError):
-        lib = _openblas()
-        geqrf, ormqr = lib.scipy_LAPACKE_dgeqrf_work64_, lib.scipy_LAPACKE_dormqr_work64_
-        doubles, i64, char = np.ctypeslib.ndpointer(np.float64), ctypes.c_int64, ctypes.c_char
-        geqrf.argtypes = [ctypes.c_int, i64, i64, doubles, i64, doubles, doubles, i64]
-        ormqr.argtypes = [ctypes.c_int, char, char, i64, i64, i64, doubles, i64, doubles,
-                          doubles, i64, doubles, i64]
-        geqrf.restype = ormqr.restype = i64
-        return geqrf, ormqr
+        gelsd = _openblas().scipy_LAPACKE_dgelsd_work64_
+        doubles, i64 = np.ctypeslib.ndpointer(np.float64), ctypes.c_int64
+        ints = np.ctypeslib.ndpointer(np.int64)
+        gelsd.argtypes = [ctypes.c_int, i64, i64, i64, doubles, i64, doubles, i64, doubles,
+                          ctypes.c_double, ints, doubles, i64, ints]
+        gelsd.restype = i64
+        return gelsd
     return None
 
 
-def _lapack(name: str, routine, *args, tail=()) -> int:
+def _lapack(name: str, routine, *args, tail=()) -> None:
     """Call a LAPACKE _work routine, args then the workspace its own query (lwork
-    = -1) asks for, then tail. Returns LAPACK's info; an invalid argument raises."""
+    = -1) asks for, then tail. An invalid argument raises RuntimeError, and an
+    SVD that does not converge (info > 0) NumericFailure."""
     def call(work, lwork):
         info = routine(*args, work, lwork, *tail)
         if info < 0:
             raise RuntimeError(f"LAPACKE_{name}_work: argument {-info} is invalid")
-        return info
+        if info > 0:
+            raise NumericFailure(f"SVD did not converge ({name} info {info})")
 
     query = np.empty(1)
     call(query, -1)
     lwork = int(query[0])
-    return call(np.empty(lwork), lwork)
+    call(np.empty(lwork), lwork)
 
 
 def _working_array(a, m: np.ndarray, overwrite: bool) -> np.ndarray:
@@ -159,10 +155,8 @@ def _gesdd_overwrite(gesdd, a: np.ndarray):
     square = np.empty((k, k), order="F")
     unused = np.empty(1)
     u, ldu, vt, ldvt = (unused, 1, square, k) if m >= n else (square, m, unused, 1)
-    info = _lapack("dgesdd", gesdd, _COL_MAJOR, b"O", m, n, a, m, s, u, ldu, vt, ldvt,
-                   tail=(np.empty(8 * k, dtype=np.int64),))
-    if info > 0:
-        raise NumericFailure(f"SVD did not converge (dgesdd info {info})")
+    _lapack("dgesdd", gesdd, _COL_MAJOR, b"O", m, n, a, m, s, u, ldu, vt, ldvt,
+            tail=(np.empty(8 * k, dtype=np.int64),))
     return (a, s, square.T) if m >= n else (square, s, a.T)
 
 
@@ -220,10 +214,10 @@ def lls_solve(x, y, rcond: float | None = None, *, overwrite_x: bool = False) ->
     which equals the normal-equation solution (X.T @ X)^+ @ X.T @ Y but
     stays well conditioned. Singular values at or below rcond * s_max,
     the one truncation rule of this module, count as zero; rcond defaults
-    to default_rcond(X.shape). A tall X is first reduced to its R factor (see
-    the module docstring); X is checked for non-finite entries before either
-    factorization. With overwrite_x set, a writeable, Fortran-ordered float64
-    X is the array LAPACK works on, and its contents afterwards are unspecified.
+    to default_rcond(X.shape). A large X goes to LAPACK's dgelsd, which has the
+    same rule; X is checked for non-finite entries before any factorization.
+    With overwrite_x set, a writeable, Fortran-ordered float64 X is the array
+    LAPACK works on, and its contents afterwards are unspecified.
     """
     shape = np.shape(x)
     _check_shape("matrix", shape)
@@ -234,12 +228,15 @@ def lls_solve(x, y, rcond: float | None = None, *, overwrite_x: bool = False) ->
         raise ValueError("right-hand side contains non-finite entries")
     rcond = default_rcond(shape) if rcond is None else _real("rcond", rcond)
     m, n = shape
-    qr = _dgeqrf_dormqr() if m * n > _ONE_THREAD_MAX_CELLS and m >= 2 * n else None
-    if qr is not None:  # x = Q @ R: dgeqrf writes R and Q's reflectors over x
-        x, tau, rhs = _working_array(x, _as_matrix(x), overwrite_x), np.empty(n), rhs.copy()
-        _lapack("dgeqrf", qr[0], _COL_MAJOR, m, n, x, m, tau)
-        _lapack("dormqr", qr[1], _COL_MAJOR, b"L", b"T", m, 1, n, x, m, tau, rhs, m)
-        x, rhs, overwrite_x = np.tril(x[:n].T).T, rhs[:n], True  # R, Fortran-ordered
+    gelsd = _dgelsd() if m * n > _ONE_THREAD_MAX_CELLS else None
+    if gelsd is not None:  # dgelsd writes over x, and the solution over b's first n entries
+        x, k, b = _working_array(x, _as_matrix(x), overwrite_x), min(m, n), np.zeros(max(m, n))
+        b[:m] = rhs
+        nlvl = max(0, int(np.log2(k / 26)) + 1)  # for iwork's documented size (SMLSIZ = 25)
+        iwork = np.empty(3 * k * nlvl + 11 * k, dtype=np.int64)
+        _lapack("dgelsd", gelsd, _COL_MAJOR, m, n, 1, x, m, b, b.size, np.empty(k), rcond,
+                np.empty(1, dtype=np.int64), tail=(iwork,))
+        return b[:n].copy()
     u, s, v = svd(x, overwrite_a=overwrite_x)
     scaled = np.divide(u.T @ rhs, s, where=s > rcond * s[0], out=np.zeros_like(s))
     return v @ scaled

@@ -199,8 +199,9 @@ class TrainedModel:
         if not isinstance(self.config, dict):
             raise ValueError(f"'config' must be a dict, got {self.config!r}")
         try:
-            json.dumps(self.config)
-        except TypeError as exc:
+            if json.loads(json.dumps(self.config)) != self.config:
+                raise TypeError("a JSON round trip changes it (a tuple, or a key not a str)")
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"'config' must hold plain JSON values: {exc}") from None
         for name in ("theta", "omega"):
             if not math.isfinite(getattr(self, name)):

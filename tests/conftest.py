@@ -220,3 +220,15 @@ def fake_gesdd(info=0, during=lambda: None):
             return 0
         return info
     return gesdd
+
+
+def fake_gelsd(info):
+    """A stand-in for linalg's LAPACKE_dgelsd_work binding that computes
+    nothing: it answers the workspace query with a one-double workspace
+    and returns `info` from the solve."""
+    def gelsd(layout, m, n, nrhs, a, lda, b, ldb, s, rcond, rank, work, lwork, iwork):
+        if lwork == -1:
+            work[0] = 1.0
+            return 0
+        return info
+    return gelsd

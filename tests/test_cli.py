@@ -20,7 +20,7 @@ from sqnn.features import PolynomialWeightFunction
 from sqnn.training import GdConfig, LlsConfig, TrainedModel, arctanh_labels
 
 from oracle import hstack_design, min_max_scale
-from conftest import fake_gesdd, write_synthetic_mnist
+from conftest import fake_gelsd, fake_gesdd, write_synthetic_mnist
 
 
 @pytest.fixture
@@ -541,6 +541,17 @@ class TestNumericFailure:
         result = invoke(runner, *args, expect=1)
         assert "error: SVD did not converge" in result.output
         assert isinstance(result.exception, SystemExit)
+
+    def test_large_solve_that_does_not_converge_exits_1(self, runner, tmp_path, monkeypatch):
+        # 60,000 rows at K = 8 make a 60,000 x 17 design (1.02e6 cells),
+        # which the solve hands to dgelsd
+        monkeypatch.chdir(tmp_path)
+        invoke(runner, "gen", "two-moons", "--n", 60000, "--out", "big.csv")
+        monkeypatch.setattr(linalg, "_dgelsd", lambda: fake_gelsd(info=1))
+        result = invoke(runner, "train", "--data", "big.csv", "--method", "lls", "--K", 8,
+                        "--out", "m.json", expect=1)
+        assert result.output.splitlines()[-1] == "error: SVD did not converge (dgelsd info 1)"
+        assert isinstance(result.exception, SystemExit) and not (tmp_path / "m.json").exists()
 
     def test_fallback_svd_that_does_not_converge_exits_1(self, runner, tmp_path, monkeypatch):
         # where numpy bundles no OpenBLAS, svd calls np.linalg.svd

@@ -13,7 +13,7 @@ import sqnn
 from sqnn import datasets, linalg, training
 from sqnn.linalg import NumericFailure, default_rcond, lls_solve, svd
 
-from conftest import fake_gesdd
+from conftest import fake_gelsd, fake_gesdd
 from oracle import pinv
 
 
@@ -330,42 +330,45 @@ def tall(shape, seed=16):
     return np.asfortranarray(rng.normal(size=shape)), rng.normal(size=shape[0])
 
 
-class TestQrRoute:
-    """A design of more than _ONE_THREAD_MAX_CELLS cells with at least twice
-    as many rows as columns is reduced by Householder QR to its n x n R,
-    whose SVD the solve then takes."""
+class TestLargeRoute:
+    """A design of more than _ONE_THREAD_MAX_CELLS cells, of any aspect, is
+    solved by one call of LAPACK's least-squares driver dgelsd."""
 
     @pytest.fixture(autouse=True)
-    def needs_the_bindings(self):
-        if linalg._dgeqrf_dormqr() is None:
-            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_dgeqrf_work and _dormqr_work")
+    def needs_the_binding(self):
+        if linalg._dgelsd() is None:
+            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_dgelsd_work")
 
-    @pytest.mark.parametrize("shape, reduced", [
-        ((1000, 1000), False), ((20000, 41), False), ((1500, 1000), False), ((3000, 400), True)])
-    def test_the_cell_limit_and_the_aspect_decide(self, monkeypatch, shape, reduced):
+    @pytest.mark.parametrize("shape, driver", [
+        ((1000, 1000), False), ((20000, 41), False), ((1500, 1000), True), ((3000, 400), True)])
+    def test_the_cell_limit_decides(self, monkeypatch, shape, driver):
+        calls, gelsd = [], linalg._dgelsd()
+
+        def spy(*args):
+            calls.append(args[1:3])
+            return gelsd(*args)
+
         def stop(a, *, overwrite_a):
             raise Factorized(a)
 
+        monkeypatch.setattr(linalg, "_dgelsd", lambda: spy)
         monkeypatch.setattr(linalg, "svd", stop)
         x, y = tall(shape)
-        with pytest.raises(Factorized) as caught:
+        if driver:
             lls_solve(x, y)
-        (factorized,) = caught.value.args
-        if reduced:
-            n = shape[1]
-            assert factorized.shape == (n, n) and factorized.flags.f_contiguous
-            assert not np.any(np.tril(factorized, -1))
-            np.testing.assert_allclose(np.abs(np.diag(factorized)),
-                                       np.abs(np.diag(np.linalg.qr(x, mode="r"))), rtol=1e-12)
+            assert calls == [shape, shape]  # the workspace query, then the solve
         else:
-            assert factorized is x
+            with pytest.raises(Factorized) as caught:
+                lls_solve(x, y)
+            assert caught.value.args[0] is x and calls == []
 
-    def test_coefficients_match_the_direct_route(self, monkeypatch):
-        x, y = tall((3000, 400))
-        via_r = lls_solve(x, y)
-        monkeypatch.setattr(linalg, "_dgeqrf_dormqr", lambda: None)
+    @pytest.mark.parametrize("shape", [(3000, 400), (1500, 1000)], ids=["tall", "wide"])
+    def test_coefficients_match_the_direct_route(self, monkeypatch, shape):
+        x, y = tall(shape)
+        driver = lls_solve(x, y)
+        monkeypatch.setattr(linalg, "_dgelsd", lambda: None)
         direct = lls_solve(x, y)
-        assert np.max(np.abs(via_r - direct)) <= 1e-12 * np.max(np.abs(direct))
+        assert np.max(np.abs(driver - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_rank_deficient_gives_the_minimum_norm_solution(self):
         x, y = tall((3000, 400))
@@ -388,9 +391,9 @@ class TestQrRoute:
         assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
 
     def test_overwrite_factorizes_in_place_without_a_copy(self):
-        # dgeqrf writes over x itself. R, the SVD's square factor and its
-        # workspace come to about 0.8 of x here; the copy route peaks at
-        # about 1.17 of x (the copy, then R beside it)
+        # dgelsd writes over x itself. The right-hand side, the singular
+        # values and the workspace come to about 0.05 of x here; the copy
+        # route peaks at about 1.04 of x
         x, y = tall((3000, 400))
         before_x = x.copy()
         expected = lls_solve(x, y)
@@ -402,14 +405,23 @@ class TestQrRoute:
         finally:
             tracemalloc.stop()
         assert peak - before < x.nbytes
+        assert peak - before < 0.25 * x.nbytes
         assert not np.array_equal(x, before_x)
         assert np.array_equal(got, expected)
 
-    def test_without_the_bindings_the_whole_matrix_is_factorized(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_dgeqrf_dormqr", lambda: None)
+    def test_without_the_binding_the_whole_matrix_is_factorized(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_dgelsd", lambda: None)
         x, y = tall((3000, 400))
         u, s, v = svd(x)
         assert np.array_equal(lls_solve(x, y), v @ ((u.T @ y) / s))
+
+
+def test_a_large_solve_that_does_not_converge_raises(monkeypatch):
+    # needs no OpenBLAS: the binding is a stand-in
+    monkeypatch.setattr(linalg, "_dgelsd", lambda: fake_gelsd(info=1))
+    x, y = tall((3000, 400))
+    with pytest.raises(NumericFailure, match=r"^SVD did not converge \(dgelsd info 1\)$"):
+        lls_solve(x, y)
 
 
 class FakeThreads:

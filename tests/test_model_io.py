@@ -128,6 +128,8 @@ UNSAVEABLE = [
     ("nan-theta", lambda: _lls_model(theta=np.nan), "'theta' must be finite"),
     ("config-not-a-dict", lambda: _lls_model(config=[1]), "'config' must be a dict"),
     ("config-not-json", lambda: _lls_model(config={"K": np.int64(1)}), "'config' must hold"),
+    ("config-tuple", lambda: _lls_model(config={"pair": (1, 2)}), "'config' must hold"),
+    ("config-int-key", lambda: _lls_model(config={1: "a"}), "'config' must hold"),
     ("nan-coefficient", lambda: PolynomialWeightFunction(
         K=1, p=2, c=np.array([[0.5, np.nan]])), "'c' holds a non-finite"),
 ]

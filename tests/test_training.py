@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sqnn import linalg, training
 from sqnn.circuit import _cos_and_sin, expectation_batch
-from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons
+from sqnn.datasets import Dataset, gen_logic_gate, gen_two_moons, load_csv
 from sqnn.features import (_TILE_CELLS, PolynomialWeightFunction, build_design_matrix,
                            eval_angle)
 from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
@@ -23,6 +23,7 @@ from sqnn.training import (GdConfig, InvalidLabel, LlsConfig, TrainedModel,
 from oracle import (central_differences, hstack_design, min_max_scale, poly_angle,
                     reference_gd_reduced, reference_init, reference_loss,
                     reference_predict)
+from conftest import require_dataset
 
 
 def make_dataset(rng, n=12, p=2, classification=False):
@@ -680,6 +681,18 @@ class TestLlsTrain:
             arctanh_labels(np.array([1.0, -1.0]), epsilon=epsilon)
         with pytest.raises(ValueError, match="epsilon"):
             LlsConfig(epsilon=epsilon)
+
+    @pytest.mark.parametrize("K", [1, 4, 8])
+    def test_wdbc_classes_do_not_depend_on_epsilon(self, data_dir, K):
+        # arctanh maps each +-1 label to +-arctanh(1 - epsilon), so for
+        # +-1 labels the fit is least squares on the labels scaled by that
+        # one number: epsilon scales every angle and moves no class
+        require_dataset("wdbc", data_dir)
+        data = load_csv(data_dir / "wdbc.data", target_column=1, has_header=False,
+                        drop_cols=(0,), label_map={"M": 1, "B": -1}, scale_targets=False)
+        near, far = (lls_train(data, LlsConfig(K=K, epsilon=epsilon)).predict_class(data.inputs)
+                     for epsilon in (1e-16, 1e-3))
+        assert np.array_equal(near, far)
 
 
 class TestTrainerConfig:
