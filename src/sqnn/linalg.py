@@ -28,10 +28,10 @@ guard only lowers the count, so OPENBLAS_NUM_THREADS still caps it.
 Where numpy does not bundle OpenBLAS the guard does nothing.
 
 Large designs: lls_solve hands a design of more than _ONE_THREAD_MAX_CELLS
-cells to LAPACK's least-squares driver dgelsd, in one call on the array svd
-would work on. dgelsd has the same truncation rule and never forms U: under
-overwrite_x the call grows by 0.9 MiB at 12,665 x 785 (76 MiB), where the QR
-route it replaced grew by 28 MiB. Without the symbol every design goes to svd.
+cells to LAPACK's least-squares driver dgelsd, on the array svd would work
+on. It has the same truncation rule and never forms U: under overwrite_x
+the call grows by 0.9 MiB at 12,665 x 785 (76 MiB). Without the symbol
+every design goes to svd.
 """
 
 from __future__ import annotations

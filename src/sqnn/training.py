@@ -199,10 +199,11 @@ class TrainedModel:
         if not isinstance(self.config, dict):
             raise ValueError(f"'config' must be a dict, got {self.config!r}")
         try:
-            if json.loads(json.dumps(self.config)) != self.config:
-                raise TypeError("a JSON round trip changes it (a tuple, or a key not a str)")
+            reloaded = json.loads(json.dumps(self.config))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"'config' must hold plain JSON values: {exc}") from None
+        if reloaded != self.config:  # a tuple reloads as a list, a non-str key as a str
+            raise ValueError(f"'config' must hold plain JSON values, but reloads as {reloaded!r}")
         for name in ("theta", "omega"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name!r} must be finite, got {getattr(self, name)!r}")
