@@ -5,17 +5,24 @@ minimum-norm solve are implemented here so their numerical contracts are
 explicit. Solving goes through the SVD of the design matrix instead of
 forming the normal equations, which would square the condition number.
 
-Memory: svd calls LAPACK's divide-and-conquer dgesdd (Gu & Eisenstat,
-SIAM J. Matrix Anal. Appl. 16, 1995) through LAPACKE in the OpenBLAS
-that numpy bundles, with JOBZ='O' on one Fortran-ordered copy of the
-matrix. dgesdd writes U (or V.T for a wide matrix) over that copy, so the
-factorization holds one matrix-sized array beyond its input, plus the
-workspace LAPACK asks for, where np.linalg.svd holds three: its working
-copy, its own U and the returned U. With overwrite_a (lls_solve's
-overwrite_x) set, a writeable, Fortran-ordered float64 matrix is itself
-that working array and no copy is made; lls_train hands over the design
-it built column-major for this. Where numpy bundles no OpenBLAS (MKL,
-Accelerate, a system BLAS), svd calls np.linalg.svd, which ignores the flag.
+The OpenBLAS that numpy bundles: _openblas binds every routine this module
+calls (_ROUTINES: the thread-count getter and setter, LAPACKE_dgesdd_work
+and LAPACKE_dgelsd_work, all with 64-bit integers) on first use, or returns
+None if there is no such library or it lacks any one of them. So either
+every routine below is used, or none is: svd then calls np.linalg.svd and
+the thread guard does nothing. Where numpy bundles MKL, Accelerate or a
+system BLAS, that is the case.
+
+Memory: svd, which serves the small solves (WDBC's), calls LAPACK's
+divide-and-conquer dgesdd (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16,
+1995) with JOBZ='O' on one Fortran-ordered copy of the matrix. dgesdd
+writes U (or V.T for a wide matrix) over that copy, so the factorization
+holds one matrix-sized array beyond its input, plus the workspace LAPACK
+asks for, where np.linalg.svd holds three: its working copy, its own U and
+the returned U. With overwrite_a (lls_solve's overwrite_x) set, a
+writeable, Fortran-ordered float64 matrix is itself that working array and
+no copy is made; lls_train hands over the design it built column-major for
+this. np.linalg.svd ignores the flag.
 
 Threads: a matrix of at most _ONE_THREAD_MAX_CELLS cells (m * n) is
 factorized on one OpenBLAS thread, and the earlier count is restored
@@ -25,13 +32,12 @@ afterwards, also when the factorization raises. On a 2-core x86-64 host
 12,665 x 785 (1,525 vs 2,025 ms). The count is process-wide, so while a
 small SVD runs every OpenBLAS call of the process uses one thread. The
 guard only lowers the count, so OPENBLAS_NUM_THREADS still caps it.
-Where numpy does not bundle OpenBLAS the guard does nothing.
 
 Large designs: lls_solve hands a design of more than _ONE_THREAD_MAX_CELLS
-cells to LAPACK's least-squares driver dgelsd, on the array svd would work
-on. It has the same truncation rule and never forms U: under overwrite_x
-the call grows by 0.9 MiB at 12,665 x 785 (76 MiB). Without the symbol
-every design goes to svd.
+cells (MNIST's) to LAPACK's least-squares driver dgelsd, on the array svd
+would work on. It has the same truncation rule and never forms U: under
+overwrite_x the call grows by 0.9 MiB at 12,665 x 785 (76 MiB). Without
+the library every design goes to svd.
 """
 
 from __future__ import annotations
@@ -66,58 +72,33 @@ _COL_MAJOR = 102
 # Largest matrix, in cells (m * n), that svd factorizes on one OpenBLAS thread.
 _ONE_THREAD_MAX_CELLS = 1_000_000
 _threads_lock = threading.Lock()
+_i64, _doubles, _ints = (ctypes.c_int64, np.ctypeslib.ndpointer(np.float64),
+                         np.ctypeslib.ndpointer(np.int64))
+# Every routine this module calls, by its symbol in numpy's OpenBLAS: (restype, argtypes).
+_ROUTINES = {
+    "scipy_openblas_get_num_threads64_": (ctypes.c_int, []),
+    "scipy_openblas_set_num_threads64_": (None, [ctypes.c_int]),
+    "scipy_LAPACKE_dgesdd_work64_": (_i64, [ctypes.c_int, ctypes.c_char, _i64, _i64, _doubles,
+                                            _i64, _doubles, _doubles, _i64, _doubles, _i64,
+                                            _doubles, _i64, _ints]),
+    "scipy_LAPACKE_dgelsd_work64_": (_i64, [ctypes.c_int, _i64, _i64, _i64, _doubles, _i64,
+                                            _doubles, _i64, _doubles, ctypes.c_double, _ints,
+                                            _doubles, _i64, _ints]),
+}
 
 
 @functools.cache
 def _openblas():
-    """The OpenBLAS in numpy's wheel as a ctypes library, or None where
-    there is none. Resolved on first use, not at import."""
+    """The OpenBLAS in numpy's wheel as a ctypes library with every routine
+    of _ROUTINES bound, or None where there is none or it lacks one of them.
+    Resolved on first use, not at import."""
     for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
-        with contextlib.suppress(OSError):
-            return ctypes.CDLL(str(path))
-    return None
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of that library's thread count, or None where the
-    library or the symbols are missing (None has no attributes either)."""
-    with contextlib.suppress(AttributeError):
-        lib = _openblas()
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-@functools.cache
-def _dgesdd():
-    """That library's LAPACKE_dgesdd_work (64-bit integers), or None where
-    the library or the symbol is missing."""
-    with contextlib.suppress(AttributeError):
-        gesdd = _openblas().scipy_LAPACKE_dgesdd_work64_
-        doubles, i64 = np.ctypeslib.ndpointer(np.float64), ctypes.c_int64
-        gesdd.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, doubles, i64, doubles,
-                          doubles, i64, doubles, i64, doubles, i64,
-                          np.ctypeslib.ndpointer(np.int64)]
-        gesdd.restype = i64
-        return gesdd
-    return None
-
-
-@functools.cache
-def _dgelsd():
-    """That library's LAPACKE_dgelsd_work (64-bit integers), or None where
-    the library or the symbol is missing."""
-    with contextlib.suppress(AttributeError):
-        gelsd = _openblas().scipy_LAPACKE_dgelsd_work64_
-        doubles, i64 = np.ctypeslib.ndpointer(np.float64), ctypes.c_int64
-        ints = np.ctypeslib.ndpointer(np.int64)
-        gelsd.argtypes = [ctypes.c_int, i64, i64, i64, doubles, i64, doubles, i64, doubles,
-                          ctypes.c_double, ints, doubles, i64, ints]
-        gelsd.restype = i64
-        return gelsd
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(str(path))
+            for name, (restype, argtypes) in _ROUTINES.items():
+                routine = getattr(lib, name)
+                routine.restype, routine.argtypes = restype, argtypes
+            return lib
     return None
 
 
@@ -165,18 +146,17 @@ def _threads_for(shape: tuple[int, int]):
     """Run the block on one OpenBLAS thread if a matrix of this shape is
     small, then restore the count. Small solves in concurrent threads take
     turns, so each restores the count it found."""
-    blas = _openblas_threads() if shape[0] * shape[1] <= _ONE_THREAD_MAX_CELLS else None
-    if blas is None:
+    lib = _openblas() if shape[0] * shape[1] <= _ONE_THREAD_MAX_CELLS else None
+    if lib is None:
         yield
         return
-    get, put = blas
     with _threads_lock:
-        before = get()
-        put(1)
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(1)
         try:
             yield
         finally:
-            put(before)
+            lib.scipy_openblas_set_num_threads64_(before)
 
 
 def default_rcond(shape: tuple[int, int]) -> float:
@@ -196,11 +176,12 @@ def svd(a, *, overwrite_a: bool = False):
     way.
     """
     m = _as_matrix(a)
-    gesdd = _dgesdd()
+    lib = _openblas()
     try:
         with _threads_for(m.shape):
-            if gesdd is not None:
-                return _gesdd_overwrite(gesdd, _working_array(a, m, overwrite_a))
+            if lib is not None:
+                return _gesdd_overwrite(lib.scipy_LAPACKE_dgesdd_work64_,
+                                        _working_array(a, m, overwrite_a))
             u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"SVD did not converge: {exc}") from exc
@@ -228,14 +209,14 @@ def lls_solve(x, y, rcond: float | None = None, *, overwrite_x: bool = False) ->
         raise ValueError("right-hand side contains non-finite entries")
     rcond = default_rcond(shape) if rcond is None else _real("rcond", rcond)
     m, n = shape
-    gelsd = _dgelsd() if m * n > _ONE_THREAD_MAX_CELLS else None
-    if gelsd is not None:  # dgelsd writes over x, and the solution over b's first n entries
+    lib = _openblas() if m * n > _ONE_THREAD_MAX_CELLS else None
+    if lib is not None:  # dgelsd writes over x, and the solution over b's first n entries
         x, k, b = _working_array(x, _as_matrix(x), overwrite_x), min(m, n), np.zeros(max(m, n))
         b[:m] = rhs
         nlvl = max(0, int(np.log2(k / 26)) + 1)  # for iwork's documented size (SMLSIZ = 25)
         iwork = np.empty(3 * k * nlvl + 11 * k, dtype=np.int64)
-        _lapack("dgelsd", gelsd, _COL_MAJOR, m, n, 1, x, m, b, b.size, np.empty(k), rcond,
-                np.empty(1, dtype=np.int64), tail=(iwork,))
+        _lapack("dgelsd", lib.scipy_LAPACKE_dgelsd_work64_, _COL_MAJOR, m, n, 1, x, m, b,
+                b.size, np.empty(k), rcond, np.empty(1, dtype=np.int64), tail=(iwork,))
         return b[:n].copy()
     u, s, v = svd(x, overwrite_a=overwrite_x)
     scaled = np.divide(u.T @ rhs, s, where=s > rcond * s[0], out=np.zeros_like(s))

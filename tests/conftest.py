@@ -2,11 +2,12 @@ import gzip
 import os
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sqnn import experiments
+from sqnn import experiments, linalg
 
 _acceptance: dict[str, str] = {}
 
@@ -209,7 +210,7 @@ def crime_standin_run(tmp_path_factory):
 
 
 def fake_gesdd(info=0, during=lambda: None):
-    """A stand-in for linalg's LAPACKE_dgesdd_work binding that computes
+    """A stand-in for the LAPACKE_dgesdd_work routine of linalg that computes
     nothing and starts no thread: it calls `during`, answers the workspace
     query with a one-double workspace and returns `info` from the
     factorization."""
@@ -223,7 +224,7 @@ def fake_gesdd(info=0, during=lambda: None):
 
 
 def fake_gelsd(info):
-    """A stand-in for linalg's LAPACKE_dgelsd_work binding that computes
+    """A stand-in for the LAPACKE_dgelsd_work routine of linalg that computes
     nothing: it answers the workspace query with a one-double workspace
     and returns `info` from the solve."""
     def gelsd(layout, m, n, nrhs, a, lda, b, ldb, s, rcond, rank, work, lwork, iwork):
@@ -232,3 +233,36 @@ def fake_gelsd(info):
             return 0
         return info
     return gelsd
+
+
+class FakeThreads:
+    """Stands in for OpenBLAS's thread-count getter and setter; records
+    every count set and starts no thread."""
+
+    def __init__(self, count=4):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+def fake_openblas(threads=None, **lapack):
+    """A stand-in for linalg._openblas(): the real library's routines of
+    linalg._ROUTINES, with the LAPACK ones given by short name (gesdd=,
+    gelsd=) swapped in and the thread count held by `threads`, a new
+    FakeThreads by default, so no test changes the process's count. Where
+    numpy bundles no OpenBLAS, a LAPACK routine not given is None."""
+    real, threads = linalg._openblas(), threads or FakeThreads()
+    routines = {name: getattr(real, name, None) for name in linalg._ROUTINES}
+    routines.update(scipy_openblas_get_num_threads64_=threads.get,
+                    scipy_openblas_set_num_threads64_=threads.set)
+    for short, routine in lapack.items():
+        name = f"scipy_LAPACKE_d{short}_work64_"
+        assert name in routines, short
+        routines[name] = routine
+    return SimpleNamespace(**routines)

@@ -20,7 +20,7 @@ from sqnn.features import PolynomialWeightFunction
 from sqnn.training import GdConfig, LlsConfig, TrainedModel, arctanh_labels
 
 from oracle import hstack_design, min_max_scale
-from conftest import fake_gelsd, fake_gesdd, write_synthetic_mnist
+from conftest import fake_gelsd, fake_gesdd, fake_openblas, write_synthetic_mnist
 
 
 @pytest.fixture
@@ -537,7 +537,8 @@ class TestNumericFailure:
     def test_svd_that_does_not_converge_exits_1(self, runner, tmp_path, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         invoke(runner, "gen", "xor", "--out", "xor.csv")
-        monkeypatch.setattr(linalg, "_dgesdd", lambda: fake_gesdd(info=1))
+        lib = fake_openblas(gesdd=fake_gesdd(info=1))
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         result = invoke(runner, *args, expect=1)
         assert "error: SVD did not converge" in result.output
         assert isinstance(result.exception, SystemExit)
@@ -547,7 +548,8 @@ class TestNumericFailure:
         # which the solve hands to dgelsd
         monkeypatch.chdir(tmp_path)
         invoke(runner, "gen", "two-moons", "--n", 60000, "--out", "big.csv")
-        monkeypatch.setattr(linalg, "_dgelsd", lambda: fake_gelsd(info=1))
+        lib = fake_openblas(gelsd=fake_gelsd(info=1))
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         result = invoke(runner, "train", "--data", "big.csv", "--method", "lls", "--K", 8,
                         "--out", "m.json", expect=1)
         assert result.output.splitlines()[-1] == "error: SVD did not converge (dgelsd info 1)"
@@ -561,7 +563,7 @@ class TestNumericFailure:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
         monkeypatch.setattr(np.linalg, "svd", fail)
         result = invoke(runner, "train", "--data", "xor.csv", "--method", "lls",
                         "--out", "m.json", expect=1)

@@ -84,6 +84,21 @@ def test_recipe_values_match_the_golden_file(recipe_run, name):
         "\n".join(moved)
 
 
+@pytest.mark.parametrize("name", ["table4-moons", "table5-wbcd"])
+def test_recipes_without_openblas_pass_and_match_the_golden_file(data_dir, name):
+    # where numpy bundles no OpenBLAS, svd calls np.linalg.svd and no
+    # thread guard runs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_openblas", lambda: None)
+        try:
+            result = experiments.run_recipe(name, data_dir=data_dir)
+        except experiments.MissingData as exc:  # pragma: no cover - data-dependent
+            pytest.skip(str(exc))
+    assert result.passed, "\n".join(result.report_lines())
+    moved = changes(json.loads(GOLDEN.read_text()), name, result.values)
+    assert not moved, "recipe values moved without OpenBLAS:\n" + "\n".join(moved)
+
+
 def standin_values(result) -> dict:
     """The stand-in run's values, less its wall time."""
     return {key: value for key, value in result.values.items()

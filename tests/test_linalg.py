@@ -1,5 +1,6 @@
 """SVD, pseudoinverse and minimum-norm least squares."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import sqnn
 from sqnn import datasets, linalg, training
 from sqnn.linalg import NumericFailure, default_rcond, lls_solve, svd
 
-from conftest import fake_gelsd, fake_gesdd
+from conftest import FakeThreads, fake_gelsd, fake_gesdd, fake_openblas
 from oracle import pinv
 
 
@@ -38,6 +39,11 @@ def gauss_solve(a, b):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
     return x
+
+
+def require_openblas():
+    if linalg._openblas() is None:
+        pytest.skip("numpy bundles no OpenBLAS with every routine of linalg._ROUTINES")
 
 
 class TestSvd:
@@ -93,8 +99,7 @@ class TestSvd:
 
     @pytest.mark.parametrize("shape", [(60, 7), (7, 60), (30, 30)])
     def test_overwrite_factorizes_in_place_bit_for_bit(self, shape):
-        if linalg._dgesdd() is None:
-            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_dgesdd_work")
+        require_openblas()
         a = np.asfortranarray(np.random.default_rng(11).normal(size=shape))
         copied = svd(a)
         u, s, v = svd(a, overwrite_a=True)
@@ -120,7 +125,7 @@ class TestSvd:
             assert np.array_equal(got, want)
 
     def test_overwrite_on_the_fallback_gives_the_same_result(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
         a = np.asfortranarray(np.random.default_rng(13).normal(size=(40, 6)))
         before = a.copy()
         u, s, v = svd(a, overwrite_a=True)
@@ -137,7 +142,8 @@ class TestSvd:
         assert np.array_equal(a, before, equal_nan=True)
 
     def test_invalid_lapack_argument_is_a_runtime_error(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_dgesdd", lambda: fake_gesdd(info=-5))
+        lib = fake_openblas(gesdd=fake_gesdd(info=-5))
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         with pytest.raises(RuntimeError, match="argument 5") as caught:
             svd(np.eye(3))
         assert not isinstance(caught.value, NumericFailure)
@@ -145,8 +151,7 @@ class TestSvd:
     def test_peak_memory_stays_near_one_copy(self):
         # np.linalg.svd holds its working copy, its own U and the returned
         # U at once, about three times the matrix; svd needs about one copy
-        if linalg._dgesdd() is None:
-            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_dgesdd_work")
+        require_openblas()
         script = (
             "import resource, numpy as np\n"
             "from sqnn.linalg import svd\n"
@@ -335,14 +340,13 @@ class TestLargeRoute:
     solved by one call of LAPACK's least-squares driver dgelsd."""
 
     @pytest.fixture(autouse=True)
-    def needs_the_binding(self):
-        if linalg._dgelsd() is None:
-            pytest.skip("numpy bundles no OpenBLAS with LAPACKE_dgelsd_work")
+    def needs_the_library(self):
+        require_openblas()
 
     @pytest.mark.parametrize("shape, driver", [
         ((1000, 1000), False), ((20000, 41), False), ((1500, 1000), True), ((3000, 400), True)])
     def test_the_cell_limit_decides(self, monkeypatch, shape, driver):
-        calls, gelsd = [], linalg._dgelsd()
+        calls, gelsd = [], linalg._openblas().scipy_LAPACKE_dgelsd_work64_
 
         def spy(*args):
             calls.append(args[1:3])
@@ -351,7 +355,8 @@ class TestLargeRoute:
         def stop(a, *, overwrite_a):
             raise Factorized(a)
 
-        monkeypatch.setattr(linalg, "_dgelsd", lambda: spy)
+        lib = fake_openblas(gelsd=spy)
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         monkeypatch.setattr(linalg, "svd", stop)
         x, y = tall(shape)
         if driver:
@@ -364,9 +369,10 @@ class TestLargeRoute:
 
     @pytest.mark.parametrize("shape", [(3000, 400), (1500, 1000)], ids=["tall", "wide"])
     def test_coefficients_match_the_direct_route(self, monkeypatch, shape):
+        # under a higher cell limit the same design goes to svd (dgesdd)
         x, y = tall(shape)
         driver = lls_solve(x, y)
-        monkeypatch.setattr(linalg, "_dgelsd", lambda: None)
+        monkeypatch.setattr(linalg, "_ONE_THREAD_MAX_CELLS", 10 * x.size)
         direct = lls_solve(x, y)
         assert np.max(np.abs(driver - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -409,62 +415,82 @@ class TestLargeRoute:
         assert not np.array_equal(x, before_x)
         assert np.array_equal(got, expected)
 
-    def test_without_the_binding_the_whole_matrix_is_factorized(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_dgelsd", lambda: None)
+    def test_without_the_library_the_whole_matrix_is_factorized(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
         x, y = tall((3000, 400))
         u, s, v = svd(x)
         assert np.array_equal(lls_solve(x, y), v @ ((u.T @ y) / s))
 
 
 def test_a_large_solve_that_does_not_converge_raises(monkeypatch):
-    # needs no OpenBLAS: the binding is a stand-in
-    monkeypatch.setattr(linalg, "_dgelsd", lambda: fake_gelsd(info=1))
+    # needs no OpenBLAS: the routine is a stand-in
+    lib = fake_openblas(gelsd=fake_gelsd(info=1))
+    monkeypatch.setattr(linalg, "_openblas", lambda: lib)
     x, y = tall((3000, 400))
     with pytest.raises(NumericFailure, match=r"^SVD did not converge \(dgelsd info 1\)$"):
         lls_solve(x, y)
 
 
-class FakeThreads:
-    """Stands in for OpenBLAS's thread-count getter and setter; records
-    every count set and starts no thread."""
+class TestAllOrNothing:
+    """_openblas binds every routine of _ROUTINES or none: one missing symbol
+    sends every solve to the fallback."""
 
-    def __init__(self, count=4):
-        self.count = count
-        self.sets = []
+    @staticmethod
+    @contextlib.contextmanager
+    def missing(name):
+        """_ROUTINES with `name` replaced by a symbol no library has."""
+        routines = dict(linalg._ROUTINES)
+        routines["scipy_no_such_routine64_"] = routines.pop(name)
+        linalg._openblas.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "_ROUTINES", routines)
+                yield
+        finally:
+            linalg._openblas.cache_clear()
 
-    def get(self):
-        return self.count
+    @pytest.mark.parametrize("name", sorted(linalg._ROUTINES))
+    def test_one_missing_routine_leaves_no_library(self, name):
+        with self.missing(name):
+            assert linalg._openblas() is None
 
-    def set(self, n):
-        self.sets.append(n)
-        self.count = n
+    @pytest.mark.parametrize("shape", [(200, 7), (3000, 400)], ids=["small", "large"])
+    def test_solves_still_match_lstsq(self, shape):
+        x, y = tall(shape)
+        with self.missing("scipy_LAPACKE_dgelsd_work64_"):
+            got = lls_solve(x, y)
+        expected = np.linalg.lstsq(x, y, rcond=None)[0]
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
 
 
 class TestThreadGuard:
     @pytest.fixture
     def fake(self, monkeypatch):
+        """The thread count of a stand-in library with the real LAPACK routines."""
         fake = FakeThreads()
-        monkeypatch.setattr(linalg, "_openblas_threads", lambda: (fake.get, fake.set))
+        lib = fake_openblas(fake)
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         return fake
 
     @pytest.fixture
     def seen(self, monkeypatch, fake):
-        """Thread counts in force at each call of the dgesdd binding."""
+        """Thread counts in force at each call of the dgesdd routine."""
         counts = []
-        monkeypatch.setattr(linalg, "_dgesdd",
-                            lambda: fake_gesdd(during=lambda: counts.append(fake.count)))
+        lib = fake_openblas(fake, gesdd=fake_gesdd(during=lambda: counts.append(fake.count)))
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         return counts
 
     @pytest.fixture
     def seen_on_the_fallback(self, monkeypatch, fake):
-        """Thread counts in force while np.linalg.svd ran, with no binding."""
+        """Thread counts in force while np.linalg.svd ran, with no library."""
         counts, factorize = [], np.linalg.svd
 
         def recording(*args, **kwargs):
             counts.append(fake.count)
             return factorize(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
         monkeypatch.setattr(np.linalg, "svd", recording)
         return counts
 
@@ -473,10 +499,11 @@ class TestThreadGuard:
         assert seen == [1, 1]  # the workspace query and the factorization
         assert fake.sets == [1, 4] and fake.count == 4
 
-    def test_small_matrix_on_the_fallback_runs_on_one_thread(self, fake, seen_on_the_fallback):
+    def test_small_matrix_on_the_fallback_leaves_the_count_untouched(self, fake,
+                                                                      seen_on_the_fallback):
         svd(np.random.default_rng(0).normal(size=(512, 31)))
-        assert seen_on_the_fallback == [1]
-        assert fake.sets == [1, 4] and fake.count == 4
+        assert seen_on_the_fallback == [4]
+        assert fake.sets == [] and fake.count == 4
 
     @pytest.mark.parametrize("shape, one_thread", [
         ((1000, 1000), True), ((1000, 1001), False), ((12665, 785), False)])
@@ -490,35 +517,34 @@ class TestThreadGuard:
         def on_one_thread():
             assert fake.count == 1
 
-        monkeypatch.setattr(linalg, "_dgesdd", lambda: fake_gesdd(info=3, during=on_one_thread))
+        lib = fake_openblas(fake, gesdd=fake_gesdd(info=3, during=on_one_thread))
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         with pytest.raises(NumericFailure, match="did not converge"):
             svd(np.eye(3))
         assert fake.sets == [1, 4] and fake.count == 4
 
-    def test_a_raising_fallback_factorization_still_restores_the_count(self, monkeypatch, fake):
+    def test_a_raising_fallback_factorization_leaves_the_count_untouched(self, monkeypatch,
+                                                                         fake):
         def fail(*args, **kwargs):
-            assert fake.count == 1
+            assert fake.count == 4
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(NumericFailure, match="did not converge"):
             svd(np.eye(3))
-        assert fake.sets == [1, 4] and fake.count == 4
+        assert fake.sets == [] and fake.count == 4
 
     def test_without_the_library_svd_runs_unchanged(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
-        monkeypatch.setattr(linalg, "_dgesdd", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
         a = np.random.default_rng(1).normal(size=(40, 6))
         u, s, v = svd(a)
         u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)
         assert np.array_equal(u, u0) and np.array_equal(s, s0) and np.array_equal(v, vt0.T)
 
     def test_real_library_count_is_restored_after_a_solve(self):
-        blas = linalg._openblas_threads()
-        if blas is None:
-            pytest.skip("numpy bundles no OpenBLAS with thread-count symbols")
-        get, _ = blas
+        require_openblas()
+        get = linalg._openblas().scipy_openblas_get_num_threads64_
         before = get()
         rng = np.random.default_rng(2)
         lls_solve(rng.normal(size=(512, 31)), rng.normal(size=512))
@@ -542,6 +568,6 @@ def test_wdbc_coefficients_match_an_unguarded_solve(monkeypatch, data_dir):
             train, _ = datasets.split(data, plan, fold)
             guarded = training.lls_train(train, config).beta.flat()
             with monkeypatch.context() as m:
-                m.setattr(linalg, "_openblas_threads", lambda: None)
+                m.setattr(linalg, "_threads_for", lambda shape: contextlib.nullcontext())
                 plain = training.lls_train(train, config).beta.flat()
             assert np.max(np.abs(guarded - plain)) <= 1e-8 * np.max(np.abs(plain)), (K, fold)
