@@ -336,32 +336,44 @@ def tall(shape, seed=16):
 
 
 class TestLargeRoute:
-    """A design of more than _ONE_THREAD_MAX_CELLS cells, of any aspect, is
-    solved by one call of LAPACK's least-squares driver dgelsd."""
+    """A design of more than _ONE_THREAD_MAX_CELLS cells is solved by LAPACK's
+    least-squares driver dgelsd. A tall one (m >= int(1.6 n), where dgelsd
+    would QR first) is QR-factorized by dgeqrt, and dgelsd solves R."""
 
     @pytest.fixture(autouse=True)
     def needs_the_library(self):
         require_openblas()
 
-    @pytest.mark.parametrize("shape, driver", [
-        ((1000, 1000), False), ((20000, 41), False), ((1500, 1000), True), ((3000, 400), True)])
-    def test_the_cell_limit_decides(self, monkeypatch, shape, driver):
-        calls, gelsd = [], linalg._openblas().scipy_LAPACKE_dgelsd_work64_
+    @pytest.mark.parametrize("shape, routines", [
+        ((1000, 1000), None), ((20000, 41), None),
+        ((1500, 1000), [("gelsd", 1500, 1000)] * 2),  # the workspace query, then the solve
+        ((3000, 400), [("geqrt", 3000, 400)] + [("gelsd", 400, 400)] * 2),
+        # n = 800: int(1.6 n) = 1280 rows is dgelsd's own QR crossover (MNTHR)
+        ((1280, 800), [("geqrt", 1280, 800)] + [("gelsd", 800, 800)] * 2),
+        ((1279, 800), [("gelsd", 1279, 800)] * 2)],
+        ids=["square-svd", "narrow-svd", "wide-dgelsd", "tall-dgeqrt", "crossover-dgeqrt",
+             "below-crossover-dgelsd"])
+    def test_the_cell_limit_decides(self, monkeypatch, shape, routines):
+        calls, real = [], linalg._openblas()
 
-        def spy(*args):
-            calls.append(args[1:3])
-            return gelsd(*args)
+        def spy(short):
+            routine = getattr(real, f"scipy_LAPACKE_d{short}_work64_")
+
+            def call(*args):
+                calls.append((short, *args[1:3]))
+                return routine(*args)
+            return call
 
         def stop(a, *, overwrite_a):
             raise Factorized(a)
 
-        lib = fake_openblas(gelsd=spy)
+        lib = fake_openblas(geqrt=spy("geqrt"), gelsd=spy("gelsd"))
         monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         monkeypatch.setattr(linalg, "svd", stop)
         x, y = tall(shape)
-        if driver:
+        if routines:
             lls_solve(x, y)
-            assert calls == [shape, shape]  # the workspace query, then the solve
+            assert calls == routines
         else:
             with pytest.raises(Factorized) as caught:
                 lls_solve(x, y)
@@ -376,10 +388,24 @@ class TestLargeRoute:
         direct = lls_solve(x, y)
         assert np.max(np.abs(driver - direct)) <= 1e-12 * np.max(np.abs(direct))
 
-    def test_rank_deficient_gives_the_minimum_norm_solution(self):
-        x, y = tall((3000, 400))
-        x[:, -1] = x[:, 0]
+    @pytest.mark.parametrize("shape, repeated", [((3000, 400), 1), ((2000, 600), 100)])
+    def test_rank_deficient_gives_the_minimum_norm_solution(self, shape, repeated):
+        # the last `repeated` columns repeat the first ones
+        x, y = tall(shape)
+        x[:, -repeated:] = x[:, :repeated]
         np.testing.assert_allclose(lls_solve(x, y), pinv(x) @ y, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scales", [(1e150,), (1e-150,), (1e150, 1e-150)],
+                             ids=["1e150", "1e-150", "both"])
+    def test_extreme_column_scales_match_lstsq(self, scales):
+        # columns scaled in turn by each of scales: X.T @ X overflows at 1e150 and
+        # nears underflow at 1e-150; with both, cond(X) is about 1e300 and the
+        # 1e-150 columns are truncated
+        x, y = tall((3000, 400))
+        x *= np.resize(scales, 400)
+        expected = np.linalg.lstsq(x, y, rcond=None)[0]
+        np.testing.assert_allclose(lls_solve(x, y), expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("overwrite", [False, True])
     def test_nonfinite_x_is_rejected_before_any_factorization(self, overwrite):
