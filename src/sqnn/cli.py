@@ -9,6 +9,7 @@ can be set with SQNN_DATA_DIR or --data-dir.
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
@@ -44,7 +45,8 @@ def _parse_label_map(text: str | None):
 
 
 def _load_dataset(path, target_column, label_map, no_scale_targets, drop_cols, header):
-    column = int(target_column) if target_column.lstrip("+-").isdigit() else target_column
+    # an index is one optional sign and ASCII digits; anything else names a column
+    column = int(target_column) if re.fullmatch(r"[+-]?[0-9]+", target_column) else target_column
     try:
         return datasets.load_csv(
             path, target_column=column, has_header=header,

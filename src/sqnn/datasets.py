@@ -13,7 +13,9 @@ import gzip
 import logging
 import math
 import struct
+from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -106,21 +108,6 @@ def _parse_cell(cell: str, label_map: dict[str, float] | None) -> float | None:
     return float(text)
 
 
-def _raise_first_bad_row(path, columns, keep, target_idx, label_map):
-    """Raise the ValueError of the first data row with a non-numeric, or
-    else a non-finite, cell in a kept column; load_csv's column pass
-    calls this once it has seen such a cell, to report it row by row."""
-    for i, row in enumerate(zip(*(columns[j] for j in keep)), start=1):
-        try:
-            values = [_parse_cell(cell, label_map if j == target_idx else None)
-                      for j, cell in zip(keep, row)]
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric cell: {exc}") from exc
-        if not all(v is None or math.isfinite(v) for v in values):
-            raise ValueError(f"{path}: non-finite cell in data row {i}; mark a "
-                             "missing value with '?' or an empty cell")
-
-
 def _sniff_header(path, row, label_map) -> bool:
     """The first row is a header when it holds text and no number (missing
     markers aside); a row that mixes the two could be either."""
@@ -158,46 +145,71 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
 
     `label_map` translates categorical target strings, e.g.
     {"M": 1, "B": -1}.
+
+    The file is read once. Of several defects the first row's is reported,
+    a non-numeric cell before a non-finite one; a mixed first row or a bad
+    column is reported before a ragged row below it.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    ncols = len(rows[0])
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"{path}: ragged row with {len(row)} cells, expected {ncols}")
+        rows = filter(None, csv.reader(fh))
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file")
+        ncols = len(first)
+        if has_header is None:
+            has_header = _sniff_header(path, first, label_map)
+        header = [h.strip() for h in first] if has_header else None
 
-    if has_header is None:
-        has_header = _sniff_header(path, rows[0], label_map)
-    header = [h.strip() for h in rows[0]] if has_header else None
-    if header is not None:
-        rows = rows[1:]
-    if not rows:
+        def resolve(col, field: str) -> int:
+            if isinstance(col, str):
+                if header is None or col not in header:
+                    raise ValueError(f"{path}: no column named {col!r}")
+                return header.index(col)
+            if isinstance(col, bool) or not isinstance(col, (int, np.integer)):
+                raise ValueError(f"{path}: {field} must be a column index or name, got {col!r}")
+            idx = int(col)
+            if not -ncols <= idx < ncols:
+                raise ValueError(f"{path}: column index {idx} out of range for "
+                                 f"{ncols} columns")
+            return idx % ncols
+
+        dropped_cols = {resolve(c, "each drop_cols entry") for c in drop_cols}
+        target_idx = resolve(target_column, "target_column")
+        # one float and one flag byte (set for a missing marker) per cell,
+        # and each column's first non-numeric cell as (row, 0, column, message)
+        values, flags, bad, clean = array("d"), bytearray(), {}, bytes(ncols)
+        # the target cells label_map translates; a missing marker stays missing
+        labels = {k: v for k, v in (label_map or {}).items() if k not in MISSING_MARKERS}
+        for i, row in enumerate(rows if has_header else chain([first], rows), start=1):
+            if len(row) != ncols:
+                raise ValueError(f"{path}: ragged row with {len(row)} cells, expected {ncols}")
+            cells = row
+            if labels and (text := row[target_idx].strip()) in labels:
+                cells = row.copy()
+                cells[target_idx] = labels[text]
+            try:
+                # float() reads a padded cell as it reads the stripped one
+                values.fromlist(list(map(float, cells)))
+            except ValueError:
+                # a missing marker or a defect: the row again, cell by cell
+                for j, cell in enumerate(row):
+                    try:
+                        value = _parse_cell(cell, label_map if j == target_idx else None)
+                    except ValueError as exc:
+                        bad.setdefault(j, (i, 0, j, f"{path}: non-numeric cell: {exc}"))
+                        value = math.nan
+                    values.append(math.nan if value is None else value)
+                    flags.append(value is None)
+            else:
+                flags += clean
+    n = len(flags) // ncols
+    if not n:
         raise ValueError(f"{path}: no data rows")
-
-    def resolve(col, field: str) -> int:
-        if isinstance(col, str):
-            if header is None or col not in header:
-                raise ValueError(f"{path}: no column named {col!r}")
-            return header.index(col)
-        if isinstance(col, bool) or not isinstance(col, (int, np.integer)):
-            raise ValueError(f"{path}: {field} must be a column index or name, got {col!r}")
-        idx = int(col)
-        if not -ncols <= idx < ncols:
-            raise ValueError(f"{path}: column index {idx} out of range for "
-                             f"{ncols} columns")
-        return idx % ncols
-
-    n = len(rows)
-    # one pass per column: strip, find the missing markers, convert
-    columns = [[cell.strip() for cell in column] for column in zip(*rows)]
-    del rows
-    dropped_cols = {resolve(c, "each drop_cols entry") for c in drop_cols}
-    target_idx = resolve(target_column, "target_column")
+    table = np.frombuffer(values).reshape(n, ncols)
+    gaps = np.frombuffer(flags, dtype=bool).reshape(n, ncols)
     if drop_sparse_cols is not None:
-        dropped_cols |= {j for j, column in enumerate(columns) if j != target_idx and
-                         sum(cell in MISSING_MARKERS for cell in column) / n > drop_sparse_cols}
+        sparse = np.count_nonzero(gaps, axis=0) / n > drop_sparse_cols
+        dropped_cols |= {j for j in range(ncols) if sparse[j] and j != target_idx}
     if target_idx in dropped_cols:
         raise ValueError(f"{path}: target column {target_column!r} was dropped")
     keep = [j for j in range(ncols) if j not in dropped_cols]
@@ -205,35 +217,21 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
         raise ValueError(f"{path}: no feature column left after the target and "
                          "the dropped columns")
 
-    missing = np.zeros(n, dtype=bool)
+    # the earliest defect of the kept columns, by (row, kind, column)
+    defects = [bad[j] for j in keep if j in bad]
+    for j in keep:
+        nonfinite = ~(np.isfinite(table[:, j]) | gaps[:, j])
+        if nonfinite.any():
+            i = int(nonfinite.argmax()) + 1
+            defects.append((i, 1, j, f"{path}: non-finite cell in data row {i}; mark "
+                                     "a missing value with '?' or an empty cell"))
+    if defects:
+        raise ValueError(min(defects)[3])
 
-    def parse(j) -> np.ndarray:
-        """Column j as floats, NaN where a missing marker is (and marked
-        in `missing`); a defect is reported row by row."""
-        cells = columns[j]
-        gaps = None
-        if not MISSING_MARKERS.isdisjoint(cells):
-            gaps = np.fromiter((cell in MISSING_MARKERS for cell in cells), bool, n)
-            missing[gaps] = True
-            cells = [math.nan if gap else cell for gap, cell in zip(gaps, cells)]
-        if j == target_idx and label_map:
-            cells = [label_map.get(cell, cell) for cell in cells]
-        try:
-            values = np.fromiter(map(float, cells), float, n)
-        except ValueError:
-            _raise_first_bad_row(path, columns, keep, target_idx, label_map)
-        finite = np.isfinite(values)
-        if gaps is not None:
-            finite |= gaps
-        if not finite.all():
-            _raise_first_bad_row(path, columns, keep, target_idx, label_map)
-        return values
-
-    y = parse(target_idx)
-    feature_cols = [j for j in keep if j != target_idx]
-    X = np.empty((n, len(feature_cols)))
-    for k, j in enumerate(feature_cols):
-        X[:, k] = parse(j)
+    X = table.take([j for j in keep if j != target_idx], axis=1)  # C order, unlike X[:, list]
+    y = table[:, target_idx].copy()
+    missing = gaps[:, keep].any(axis=1)
+    del table, gaps, values, flags
     dropped_rows = int(np.count_nonzero(missing))
     if dropped_rows == n:
         raise ValueError(f"{path}: all rows dropped for missing values")

@@ -16,6 +16,8 @@ also sit in the reference (tests/test_oracle.py fails on any such import).
   idct2.
 - Least squares: `pinv` by np.linalg.svd, dropping singular values at
   or below eps * max(m, n) * s_max.
+- CSV: `reference_load_csv`, the rows a CSV file keeps, each parsed
+  across its kept columns, and the error of its first defective row.
 """
 
 from __future__ import annotations
@@ -315,3 +317,50 @@ def pinv(a, rcond: float | None = None) -> np.ndarray:
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     inv_s = np.divide(1.0, s, where=s > rcond * s[0], out=np.zeros_like(s))
     return (vt.T * inv_s) @ u.T
+
+
+CSV_MISSING = ("", "?", "NA")
+
+
+def reference_load_csv(path, rows, target: int, drop_cols=(), drop_sparse_cols=None,
+                       label_map=None) -> tuple[np.ndarray, np.ndarray]:
+    """(inputs, targets) of a CSV's data rows, given as lists of strings,
+    by the row-by-row rule. Columns go by index: `drop_cols`, then each
+    feature column whose share of missing markers ("", "?" or "NA" once
+    stripped) exceeds `drop_sparse_cols`. Each row is parsed across the
+    kept columns in order (`label_map` translates target cells); the
+    first row with a non-numeric cell, or else a non-finite one, raises
+    its ValueError. The rows with a missing marker are then dropped."""
+    n_cols = len(rows[0])
+    dropped = set(drop_cols)
+    if drop_sparse_cols is not None:
+        dropped |= {j for j in range(n_cols) if j != target and sum(
+            row[j].strip() in CSV_MISSING for row in rows) / len(rows) > drop_sparse_cols}
+    keep = [j for j in range(n_cols) if j not in dropped]
+    if len(keep) < 2:
+        raise ValueError(f"{path}: no feature column left after the target and "
+                         "the dropped columns")
+    table = []
+    for i, row in enumerate(rows, start=1):
+        values = []
+        for j in keep:
+            text = row[j].strip()
+            if text in CSV_MISSING:
+                values.append(None)
+            elif j == target and label_map and text in label_map:
+                values.append(float(label_map[text]))
+            else:
+                try:
+                    values.append(float(text))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: non-numeric cell: {exc}") from exc
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: non-finite cell in data row {i}; mark a "
+                             "missing value with '?' or an empty cell")
+        if None not in values:
+            table.append(values)
+    if not table:
+        raise ValueError(f"{path}: all rows dropped for missing values")
+    table = np.array(table)
+    t = keep.index(target)
+    return np.delete(table, t, axis=1), table[:, t]

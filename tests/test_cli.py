@@ -155,6 +155,22 @@ class TestTrainEval:
                         "--out", tmp_path / "t.json", expect=3)
         assert "non-numeric cell" in result.output
 
+    @pytest.mark.parametrize("column", ["+-1", "--1"])
+    def test_target_column_with_two_signs_names_a_column(self, runner, tmp_path, column):
+        # an index is one optional sign and digits; int() would reject this one
+        data = tmp_path / "xor.csv"
+        invoke(runner, "gen", "xor", "--out", data)
+        model = tmp_path / "m.json"
+        invoke(runner, "train", "--data", data, "--method", "lls", "--out", model)
+        for args in (["train", "--method", "lls", "--out", tmp_path / "n.json"],
+                     ["eval", "--model", model], ["crossval", "--k", 2]):
+            result = invoke(runner, *args, "--data", data, "--target-column", column,
+                            expect=3)
+            assert f"no column named '{column}'" in result.output
+            assert "invalid literal" not in result.output
+        invoke(runner, "train", "--data", data, "--method", "lls", "--target-column", "+2",
+               "--out", tmp_path / "p.json")
+
     def test_perfect_fit_eval(self, runner, tmp_path):
         data = tmp_path / "moons.csv"
         model = tmp_path / "m.json"

@@ -13,7 +13,7 @@ from sqnn.datasets import (_DCT_CHUNK, Dataset, FoldPlan, filter_pair, gen_logic
 from sqnn.features import dct_features
 
 from conftest import write_idx_pair
-from oracle import dct2
+from oracle import dct2, reference_load_csv
 
 
 class TestDataset:
@@ -173,7 +173,8 @@ class TestLoadCsv:
         ("a,b,y\n1,2,0.5\n3,x,inf\nz,4,0.1\n", "non-numeric cell: .*'x'"),
     ])
     def test_the_first_defective_row_is_reported(self, tmp_path, text, match):
-        # the cells are parsed a column at a time, but reported row by row
+        # the file is read once, each column keeping its first defect; the
+        # earliest row's is reported, a non-numeric cell before a non-finite one
         path = tmp_path / "t.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
@@ -251,6 +252,46 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.inputs, [[2.0], [5.0]])
         np.testing.assert_array_equal(ds.targets, [0.5, -0.5])
 
+    @pytest.mark.parametrize("options", [{"drop_cols": ("name",)}, {"drop_sparse_cols": 0.5}])
+    def test_a_dropped_column_holds_no_defect_and_no_gap(self, tmp_path, options):
+        path = tmp_path / "t.csv"
+        path.write_text("name,a,y\nabc,1,0.5\n?,2,-0.5\n?,inf,0.1\n")
+        with pytest.raises(ValueError, match="non-finite cell in data row 3"):
+            load_csv(path, **options)
+        path.write_text("name,a,y\nabc,1,0.5\n?,2,-0.5\n?,3,0.1\n")
+        ds = load_csv(path, **options)
+        assert (ds.n, ds.dropped_rows) == (3, 0)
+        np.testing.assert_array_equal(ds.inputs.ravel(), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("text, options, match", [
+        ("1,abc,0.5\n2,3\n", {}, "row 1 mixes numbers and text"),
+        ("a,y\n1,0.5\n2\n", {"target_column": "z"}, "no column named 'z'"),
+        ("1,0.5\n2\n", {"target_column": 5}, "column index 5 out of range"),
+        ("a,y\n1,0.5\n2\n", {"drop_cols": (1.5,)}, "each drop_cols entry must be"),
+    ])
+    def test_first_row_errors_come_before_a_ragged_row(self, tmp_path, text, options, match):
+        # the header and the columns are settled before the rows below are read
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_csv(path, **options)
+
+    def test_peak_memory_stays_near_the_arrays(self, tmp_path):
+        # one float and one flag byte per cell while reading, not a string
+        path = tmp_path / "t.csv"
+        np.savetxt(path, np.random.default_rng(0).uniform(-1, 1, (50_000, 5)),
+                   fmt="%.17g", delimiter=",")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 50_000
+        assert ds.inputs.flags.c_contiguous  # rows, as the fold subsets take them
+        assert peak - before <= 5 * (ds.inputs.nbytes + ds.targets.nbytes)
+
 
 def csv_grid(data, n_rows, n_cols):
     """A header line plus n_rows x n_cols finite numeric cells."""
@@ -305,6 +346,45 @@ class TestLoadCsvProperties:
         ds = load_csv(path, scale_targets=True)
         assert (ds.n, ds.dropped_rows) == (n_rows - len(gone), len(gone))
         np.testing.assert_array_equal(ds.inputs, expected)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n_rows=st.integers(1, 6), n_cols=st.integers(2, 5),
+           drop=st.sampled_from(["none", "drop_cols", "drop_sparse_cols"]))
+    def test_defects_are_reported_as_the_row_by_row_reference_does(
+            self, tmp_path, data, n_rows, n_cols, drop):
+        number = st.floats(-1, 1, allow_nan=False).map(repr)
+        rows = data.draw(st.lists(st.lists(st.one_of(number, number.map(" {} ".format)),
+                                           min_size=n_cols, max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows), label="rows")
+        options = {"label_map": {"M": 1.0, "NA": -1.0}}  # a marker stays missing
+        column = st.integers(0, n_cols - 1)
+        if drop == "drop_cols":
+            # one feature column at least stays
+            options[drop] = tuple(data.draw(st.sets(st.integers(0, n_cols - 2),
+                                                    max_size=n_cols - 2), label=drop))
+            if options[drop]:  # defects that only a dropped column holds, too
+                column |= st.sampled_from(options[drop])
+        elif drop == "drop_sparse_cols":
+            options[drop] = data.draw(st.sampled_from([0.0, 0.2, 0.5]), label=drop)
+        special = st.sampled_from(["abc", "nan", "inf", "1e999", "M", "?", "", " NA "])
+        for r, c, text in data.draw(st.lists(st.tuples(st.integers(0, n_rows - 1), column,
+                                                       special), max_size=4),
+                                    label="defects and gaps"):
+            rows[r][c] = text
+        path = tmp_path / "t.csv"
+        write_grid(path, [f"c{j}" for j in range(n_cols)], rows)
+        try:
+            inputs, targets = reference_load_csv(path, rows, n_cols - 1, **options)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                load_csv(path, scale_targets=False, **options)
+            assert str(raised.value) == str(exc)
+            return
+        ds = load_csv(path, scale_targets=False, **options)
+        assert ds.dropped_rows == n_rows - len(targets)
+        np.testing.assert_array_equal(ds.inputs, inputs)
+        np.testing.assert_array_equal(ds.targets, targets)
 
 
 class TestLoadMnistIdx:
