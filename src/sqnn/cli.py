@@ -45,8 +45,9 @@ def _parse_label_map(text: str | None):
 
 
 def _load_dataset(path, target_column, label_map, no_scale_targets, drop_cols, header):
-    # an index is one optional sign and ASCII digits; anything else names a column
-    column = int(target_column) if re.fullmatch(r"[+-]?[0-9]+", target_column) else target_column
+    # an index is one optional sign and decimal digits (those int() reads);
+    # anything else names a column
+    column = int(target_column) if re.fullmatch(r"[+-]?\d+", target_column) else target_column
     try:
         return datasets.load_csv(
             path, target_column=column, has_header=header,

@@ -177,31 +177,20 @@ def load_csv(path, target_column=-1, has_header: bool | None = None, *,
         target_idx = resolve(target_column, "target_column")
         # one float and one flag byte (set for a missing marker) per cell,
         # and each column's first non-numeric cell as (row, 0, column, message)
-        values, flags, bad, clean = array("d"), bytearray(), {}, bytes(ncols)
-        # the target cells label_map translates; a missing marker stays missing
-        labels = {k: v for k, v in (label_map or {}).items() if k not in MISSING_MARKERS}
+        values, flags, bad = array("d"), bytearray(), {}
+        maps = [label_map if j == target_idx else None for j in range(ncols)]
         for i, row in enumerate(rows if has_header else chain([first], rows), start=1):
             if len(row) != ncols:
                 raise ValueError(f"{path}: ragged row with {len(row)} cells, expected {ncols}")
-            cells = row
-            if labels and (text := row[target_idx].strip()) in labels:
-                cells = row.copy()
-                cells[target_idx] = labels[text]
-            try:
-                # float() reads a padded cell as it reads the stripped one
-                values.fromlist(list(map(float, cells)))
-            except ValueError:
-                # a missing marker or a defect: the row again, cell by cell
-                for j, cell in enumerate(row):
-                    try:
-                        value = _parse_cell(cell, label_map if j == target_idx else None)
-                    except ValueError as exc:
-                        bad.setdefault(j, (i, 0, j, f"{path}: non-numeric cell: {exc}"))
-                        value = math.nan
-                    values.append(math.nan if value is None else value)
-                    flags.append(value is None)
-            else:
-                flags += clean
+            for j, cell in enumerate(row):
+                try:
+                    value = _parse_cell(cell, maps[j])
+                except ValueError as exc:
+                    if j not in bad:
+                        bad[j] = (i, 0, j, f"{path}: non-numeric cell: {exc}")
+                    value = math.nan
+                values.append(math.nan if value is None else value)
+                flags.append(value is None)
     n = len(flags) // ncols
     if not n:
         raise ValueError(f"{path}: no data rows")

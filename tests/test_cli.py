@@ -155,9 +155,10 @@ class TestTrainEval:
                         "--out", tmp_path / "t.json", expect=3)
         assert "non-numeric cell" in result.output
 
-    @pytest.mark.parametrize("column", ["+-1", "--1"])
-    def test_target_column_with_two_signs_names_a_column(self, runner, tmp_path, column):
-        # an index is one optional sign and digits; int() would reject this one
+    @pytest.mark.parametrize("column", ["+-1", "--1", "\u00b2"])
+    def test_target_column_that_int_rejects_names_a_column(self, runner, tmp_path, column):
+        # an index is one optional sign and decimal digits, which int() reads;
+        # "\u00b2" (superscript 2) is a digit to str.isdigit but not to int()
         data = tmp_path / "xor.csv"
         invoke(runner, "gen", "xor", "--out", data)
         model = tmp_path / "m.json"
@@ -168,8 +169,9 @@ class TestTrainEval:
                             expect=3)
             assert f"no column named '{column}'" in result.output
             assert "invalid literal" not in result.output
-        invoke(runner, "train", "--data", data, "--method", "lls", "--target-column", "+2",
-               "--out", tmp_path / "p.json")
+        for index in ("+2", "\u0662", "\uff12"):  # 2 in Arabic-Indic and fullwidth digits
+            invoke(runner, "train", "--data", data, "--method", "lls",
+                   "--target-column", index, "--out", tmp_path / "p.json")
 
     def test_perfect_fit_eval(self, runner, tmp_path):
         data = tmp_path / "moons.csv"
