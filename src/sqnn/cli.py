@@ -228,10 +228,11 @@ def cmd_train(data_path, target_column, label_map, drop_cols, no_scale_targets, 
                          header)
     if trainer == "lls":
         model = training.lls_train(data, config)
-        angle = model._design_for(data.inputs) @ model.beta.flat()
+        step = max(1, linalg._BLOCK_CELLS // (1 + config.K * data.p))  # rows of one fit block
+        angle = np.concatenate([model._design_for(data.inputs[i:i + step]) @ model.beta.flat()
+                                for i in range(0, data.n, step)])
         rhs = training.arctanh_labels(data.targets, config.epsilon)
-        residual = float(np.mean((angle - rhs) ** 2))
-        click.echo(f"lls fit: residual (arctanh space) = {residual:.6g}, "
+        click.echo(f"lls fit: residual (arctanh space) = {np.mean((angle - rhs) ** 2):.6g}, "
                    f"training mse = {training.mse_loss(np.tanh(angle), data.targets):.6g}")
     else:
         model, history = training.gd_train(data, config, model_shape=shape)

@@ -149,8 +149,12 @@ def build_design_matrix(inputs, K: int, bounds=None) -> np.ndarray:
     if X.ndim == 1:
         X = X[None, :]
     _check_shape("inputs", X.shape)
+    return _fill_design(X, K, bounds, np.empty((X.shape[0], 1 + K * X.shape[1]), order="F"))
+
+
+def _fill_design(X, K: int, bounds, design) -> np.ndarray:
+    """build_design_matrix's rows of the 2-D float inputs X, into design; returns it."""
     n, p = X.shape
-    design = np.empty((n, 1 + K * p), order="F")
     design[:, 0] = 1.0
     first = design[:, 1:1 + p]
     # a transposing copy, one cache-sized tile of rows at a time: each

@@ -21,8 +21,8 @@ holds one matrix-sized array beyond its input, plus the workspace LAPACK
 asks for, where np.linalg.svd holds three: its working copy, its own U and
 the returned U. With overwrite_a (lls_solve's overwrite_x) set, a
 writeable, Fortran-ordered float64 matrix is itself that working array and
-no copy is made; lls_train hands over the design it built column-major for
-this. np.linalg.svd ignores the flag.
+no copy is made, as for a design that lls_train's row source builds whole.
+np.linalg.svd ignores the flag.
 
 Threads: a matrix of at most _ONE_THREAD_MAX_CELLS cells (m * n) is
 factorized on one OpenBLAS thread, and the earlier count is restored
@@ -34,17 +34,18 @@ small SVD runs every OpenBLAS call of the process uses one thread. The
 guard only lowers the count, so OPENBLAS_NUM_THREADS still caps it.
 
 Large designs: lls_solve hands a design of more than _ONE_THREAD_MAX_CELLS
-cells (MNIST's) to LAPACK's least-squares driver dgelsd, on the array svd
-would work on. It has the same truncation rule and never forms U: under
-overwrite_x the call grows by 0.9 MiB at 12,665 x 785 (76 MiB). For a tall
-design, m >= int(1.6 n) (MNTHR, the crossover at which dgelsd itself QR
-factorizes first), lls_solve does that QR itself with dgeqrt, whose panel
-is recursive and GEMM-rich (Elmroth & Gustavson, IBM J. Res. Dev. 44, 2000),
-where dgelsd's dgeqrf factors each panel with matrix-vector products:
-dgeqrt writes R and the Householder vectors over the array, dgemqrt applies
-Q.T to the right-hand side, and dgelsd solves the n x n R in place, with
-the rcond of the full shape. On a 2-core x86-64 host this took the solve
-at 12,665 x 785 from 0.54-0.59 to 0.37-0.50 s (medians of 5, three runs).
+cells (MNIST's) to LAPACK's least-squares driver dgelsd, which has the same
+truncation rule and never forms U. A tall one, m >= int(1.6 n) (MNTHR, where
+dgelsd would QR first by dgeqrf's matrix-vector panels), is QR factorized in
+row blocks (Demmel et al., SIAM J. Sci. Comput. 34, 2012) by dgeqrt, whose
+panel is recursive and GEMM-rich (Elmroth & Gustavson, IBM J. Res. Dev. 44,
+2000): each block is factored stacked under the running R, dgemqrt applies
+Q.T to the right-hand side, and dgelsd solves the last n x n R with the
+rcond of the full shape. An ndarray is one block, in place under overwrite_x.
+lls_train's row source comes in balanced blocks of mb rows, _BLOCK_CELLS
+cells at most, each checked for non-finite cells before it is factorized, in
+one (n + mb) x n buffer: at 12,665 x 785, 3 blocks in 30.0 MiB, not the
+75.8 MiB design; each later block factors R again (2 n^3 flops: +12.6% there).
 Without the library every design goes to svd.
 """
 
@@ -79,6 +80,8 @@ def _as_matrix(a) -> np.ndarray:
 _COL_MAJOR = 102
 # Largest matrix, in cells (m * n), that svd factorizes on one OpenBLAS thread.
 _ONE_THREAD_MAX_CELLS = 1_000_000
+# Most cells of one row block of a row source on lls_solve's large tall route.
+_BLOCK_CELLS = 2 ** 22
 _threads_lock = threading.Lock()
 _i64, _doubles, _ints = (ctypes.c_int64, np.ctypeslib.ndpointer(np.float64),
                          np.ctypeslib.ndpointer(np.int64))
@@ -210,10 +213,10 @@ def lls_solve(x, y, rcond: float | None = None, *, overwrite_x: bool = False) ->
     stays well conditioned. Singular values at or below rcond * s_max,
     the one truncation rule of this module, count as zero; rcond defaults
     to default_rcond(X.shape). A large X goes to LAPACK's dgelsd (a tall one
-    after a QR by dgeqrt), which has the same rule; X is checked for
-    non-finite entries before any factorization. With overwrite_x set, a
-    writeable, Fortran-ordered float64 X is the array LAPACK works on, and
-    its contents afterwards are unspecified.
+    after a QR by dgeqrt in row blocks: see the module notes), which has the
+    same rule; each block is checked for non-finite entries before it is
+    factorized. With overwrite_x set, a writeable, Fortran-ordered float64 X
+    is itself the one block LAPACK works on; its contents are then unspecified.
     """
     shape = np.shape(x)
     _check_shape("matrix", shape)
@@ -225,24 +228,36 @@ def lls_solve(x, y, rcond: float | None = None, *, overwrite_x: bool = False) ->
     rcond = default_rcond(shape) if rcond is None else _real("rcond", rcond)
     m, n = shape
     lib = _openblas() if m * n > _ONE_THREAD_MAX_CELLS else None
-    if lib is not None:  # dgelsd writes over x, and the solution over b's first n entries
-        x, k, b = _working_array(x, _as_matrix(x), overwrite_x), min(m, n), np.zeros(max(m, n))
-        b[:m] = rhs
-        rows = m
-        if m >= int(1.6 * n):  # where dgelsd would QR first (MNTHR), QR by dgeqrt instead
-            nb = min(32, n)
-            t = np.empty((nb, n), order="F")
-            _check("dgeqrt", lib.scipy_LAPACKE_dgeqrt_work64_(_COL_MAJOR, m, n, nb, x, m, t, nb,
-                                                              np.empty(nb * n)))
+    tall = lib is not None and m >= int(1.6 * n)  # where dgelsd would QR first (MNTHR)
+    fill = getattr(x, "fill", None) if tall and not isinstance(x, np.ndarray) else None
+    x = x if fill else np.asarray(x)  # a row source off the streamed route is built whole
+    if lib is not None:  # dgelsd writes over a, and the solution over b's first n entries
+        b = np.pad(rhs, (0, max(0, n - m)))
+        if fill:  # balanced blocks of at most _BLOCK_CELLS cells, each filled in under R
+            mb = -(-m // -(-m // max(1, _BLOCK_CELLS // n)))
+            a = np.empty((min(m, n + mb), n), order="F")
+        else:  # x is the one block
+            a, mb = _working_array(x, _as_matrix(x), overwrite_x), m
+        rows, k, t = 0 if tall else m, min(m, n), np.empty((min(32, n), n), order="F")
+        for start in range(0, m, mb) if tall else ():  # QR by dgeqrt instead of dgelsd's
+            size = min(mb, m - start)
+            if fill:  # each block is checked before it is factorized
+                _as_matrix(fill(start, a[rows:rows + size]))
+            b[rows:rows + size] = rhs[start:start + size]
+            rows += size
+            nb = min(32, rows, n)
+            _check("dgeqrt", lib.scipy_LAPACKE_dgeqrt_work64_(_COL_MAJOR, rows, n, nb, a, len(a),
+                                                              t, nb, np.empty(nb * n)))
             _check("dgemqrt", lib.scipy_LAPACKE_dgemqrt_work64_(
-                _COL_MAJOR, b"L", b"T", m, 1, n, nb, x, m, t, nb, b, m, np.empty(nb)))
-            for j in range(n - 1):  # clear the Householder vectors under R's diagonal
-                x[j + 1:n, j] = 0.0
-            rows = n
+                _COL_MAJOR, b"L", b"T", rows, 1, min(rows, n), nb, a, len(a), t, nb, b, b.size,
+                np.empty(nb)))
+            rows = min(rows, n)
+            for j in range(rows - 1):  # clear the Householder vectors under R's diagonal
+                a[j + 1:rows, j] = 0.0
         nlvl = max(0, int(np.log2(k / 26)) + 1)  # for iwork's documented size (SMLSIZ = 25)
         iwork = np.empty(3 * k * nlvl + 11 * k, dtype=np.int64)
-        _lapack("dgelsd", lib.scipy_LAPACKE_dgelsd_work64_, _COL_MAJOR, rows, n, 1, x, m, b,
-                b.size, np.empty(k), rcond, np.empty(1, dtype=np.int64), tail=(iwork,))
+        _lapack("dgelsd", lib.scipy_LAPACKE_dgelsd_work64_, _COL_MAJOR, rows, n, 1, a, len(a),
+                b, b.size, np.empty(k), rcond, np.empty(1, dtype=np.int64), tail=(iwork,))
         return b[:n].copy()
     u, s, v = svd(x, overwrite_a=overwrite_x)
     scaled = np.divide(u.T @ rhs, s, where=s > rcond * s[0], out=np.zeros_like(s))

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import circuit, linalg
+from . import circuit, features, linalg
 from .features import (NormalizationRecord, PolynomialWeightFunction, _all_finite,
                        _as_rows, _check_shape, _count, _flag, _real, build_design_matrix)
 
@@ -247,19 +247,33 @@ class TrainedModel:
         return float(cls) if np.isscalar(pred) or np.ndim(pred) == 0 else cls
 
 
+class _DesignRows:
+    """The design of inputs X on demand: whole by np.asarray, or rows start:start +
+    len(out) into the column-major slice out by fill. Extreme powers overflow to inf
+    without a warning: the solve's input check and the divergence guard reject them."""
+
+    def __init__(self, X, K: int, bounds):
+        self.X, self.K, self.bounds, self.shape = X, K, bounds, (len(X), 1 + K * X.shape[1])
+
+    def __array__(self, *_):
+        with np.errstate(over="ignore"):
+            return build_design_matrix(self.X, self.K, self.bounds)
+
+    def fill(self, start: int, out) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return features._fill_design(self.X[start:start + len(out)], self.K, self.bounds, out)
+
+
 def _design(data, K: int, normalize: bool):
-    """Design matrix of the (scaled) inputs plus the record a trained
-    model must carry: fitted feature ranges and, when the dataset's
+    """The design of the (scaled) inputs, as _DesignRows, plus the record a
+    trained model must carry: fitted feature ranges and, when the dataset's
     targets were rescaled at load time, the original target range for
-    recalibration (None when it has neither). The inputs are scaled
-    inside the design, so no scaled copy of them is made. Extreme powers
-    overflow to inf without a warning: the SVD's input check and the
-    divergence guard reject them."""
+    recalibration (None when it has neither). The inputs are scaled inside
+    the design, so no scaled copy of them is made."""
     X = data.inputs
     _check_shape("inputs", X.shape)  # min and max need a row
     bounds = (X.min(axis=0), X.max(axis=0)) if normalize else None
-    with np.errstate(over="ignore"):
-        design = build_design_matrix(X, K, bounds)
+    design = _DesignRows(X, K, bounds)
     target_range = getattr(data, "target_range", None)
     record = NormalizationRecord(*(bounds or (None, None)), *(target_range or (None, None)))
     return design, record if normalize or target_range is not None else None
@@ -338,7 +352,7 @@ def gd_train(data, config: GdConfig = GdConfig(), model_shape: str = "reduced"):
     n_coef = design.shape[1]
     rng = np.random.default_rng(config.seed)
     w = rng.uniform(-config.init_scale, config.init_scale, n_params(n_coef))
-    value_and_grad = make_value_and_grad(design)
+    value_and_grad = make_value_and_grad(np.asarray(design))
 
     history: list[float] = []
     # non-finite intermediates are expected on the way to the divergence
@@ -380,10 +394,10 @@ def arctanh_labels(targets, epsilon: float = 1e-16) -> np.ndarray:
 def lls_train(data, config: LlsConfig = LlsConfig()) -> TrainedModel:
     """One-shot least-squares fit of the reduced network.
 
-    Builds the power design matrix, transforms labels with arctanh (after
-    nudging +-1 inward by epsilon) and solves the linear system by
-    pseudoinverse, factorizing the design where it lies. The model
-    prediction is tanh of the fitted polynomial.
+    Transforms labels with arctanh (after nudging +-1 inward by epsilon)
+    and solves the power design's linear system by pseudoinverse; the
+    design is built where it is factorized, in row blocks on lls_solve's
+    large tall route. The model prediction is tanh of the fitted polynomial.
     """
     design, record = _design(data, config.K, config.normalize)
     rhs = arctanh_labels(data.targets, config.epsilon)

@@ -269,7 +269,8 @@ class TestDesign:
 
     @staticmethod
     def check(data, K, normalize=True):
-        design, record = _design(data, K, normalize)
+        rows, record = _design(data, K, normalize)
+        design = np.asarray(rows)
         X = data.inputs
         if normalize:
             lo, hi = X.min(axis=0), X.max(axis=0)
@@ -350,7 +351,7 @@ class TestDesign:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            design, _ = _design(data, 1, True)
+            design = np.asarray(_design(data, 1, True)[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
