@@ -46,6 +46,7 @@ lls_train's row source comes in balanced blocks of mb rows, _BLOCK_CELLS
 cells at most, each checked for non-finite cells before it is factorized, in
 one (n + mb) x n buffer: at 12,665 x 785, 3 blocks in 30.0 MiB, not the
 75.8 MiB design; each later block factors R again (2 n^3 flops: +12.6% there).
+So mnist-pair-lls peaks at 159.0 MiB, not 204.6 (BENCH_lls_stream.json).
 Without the library every design goes to svd.
 """
 

@@ -335,6 +335,23 @@ def tall(shape, seed=16):
     return np.asfortranarray(rng.normal(size=shape)), rng.normal(size=shape[0])
 
 
+class Rows:
+    """A row source over the matrix a, of the kind lls_train passes:
+    np.asarray builds it whole, and fill copies rows start:start + len(out)
+    into out. fills records the (start, rows) of each fill."""
+
+    def __init__(self, a):
+        self.a, self.shape, self.fills = a, a.shape, []
+
+    def __array__(self, *_):
+        return np.array(self.a, order="F")
+
+    def fill(self, start, out):
+        self.fills.append((start, len(out)))
+        out[...] = self.a[start:start + len(out)]
+        return out
+
+
 class TestLargeRoute:
     """A design of more than _ONE_THREAD_MAX_CELLS cells is solved by LAPACK's
     least-squares driver dgelsd. A tall one (m >= int(1.6 n), where dgelsd
@@ -446,6 +463,60 @@ class TestLargeRoute:
         x, y = tall((3000, 400))
         u, s, v = svd(x)
         assert np.array_equal(lls_solve(x, y), v @ ((u.T @ y) / s))
+
+    @pytest.mark.parametrize("shape, fills", [
+        ((3000, 400), [(0, 3000)]), ((1500, 1000), []), ((500, 400), [])],
+        ids=["tall-one-block", "wide-dgelsd", "small-svd"])
+    def test_a_row_source_in_one_block_matches_the_ndarray_bit_for_bit(self, shape, fills):
+        # 1.2M cells is one block of at most _BLOCK_CELLS = 2**22; off the
+        # tall route the source is built whole and takes the ndarray's route
+        x, y = tall(shape)
+        rows = Rows(x)
+        assert np.array_equal(lls_solve(rows, y), lls_solve(x, y))
+        assert rows.fills == fills
+
+    # 3,000 x 400 in blocks of at most 440,000 cells (1,100 rows): 3 blocks,
+    # balanced to 1,000 rows each, each but the first stacked under the 400 x 400 R
+    BLOCK_CELLS, BLOCKS = 440_000, [(0, 1000), (1000, 1000), (2000, 1000)]
+
+    def test_a_blocked_row_source_matches_the_ndarray_within_rounding(self, monkeypatch):
+        # Rounding bound, as in test_properties: sqrt(m) * eps * cond(X) * max|S|.
+        # Over seeds 0-14 of this shape the worst difference stayed 4.9 times below it.
+        x, y = tall((3000, 400))
+        expected = lls_solve(x, y)
+        real, stacked = linalg._openblas(), []
+
+        def geqrt(*args):
+            stacked.append(args[1])
+            return real.scipy_LAPACKE_dgeqrt_work64_(*args)
+
+        lib = fake_openblas(geqrt=geqrt)
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
+        monkeypatch.setattr(linalg, "_BLOCK_CELLS", self.BLOCK_CELLS)
+        rows = Rows(x)
+        got = lls_solve(rows, y)
+        assert rows.fills == self.BLOCKS and stacked == [1000, 1400, 1400]
+        bound = np.sqrt(3000) * np.finfo(float).eps * np.linalg.cond(x) * np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= bound
+
+    def test_a_non_finite_cell_in_the_last_block_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_BLOCK_CELLS", self.BLOCK_CELLS)
+        x, y = tall((3000, 400))
+        x[2999, 7] = np.nan
+        rows = Rows(x)
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            lls_solve(rows, y, overwrite_x=True)
+        assert rows.fills == self.BLOCKS
+
+    def test_a_blocked_solve_that_does_not_converge_raises(self, monkeypatch):
+        lib = fake_openblas(gelsd=fake_gelsd(info=1))
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
+        monkeypatch.setattr(linalg, "_BLOCK_CELLS", self.BLOCK_CELLS)
+        x, y = tall((3000, 400))
+        rows = Rows(x)
+        with pytest.raises(NumericFailure, match=r"^SVD did not converge \(dgelsd info 1\)$"):
+            lls_solve(rows, y)
+        assert rows.fills == self.BLOCKS
 
 
 def test_a_large_solve_that_does_not_converge_raises(monkeypatch):

@@ -676,6 +676,25 @@ class TestLlsTrain:
             tracemalloc.stop()
         assert peak - before <= 1.25 * design_bytes
 
+    def test_a_blocked_fit_holds_one_block_not_the_design(self, monkeypatch):
+        # 12,000 x 101 (1.2M cells) takes lls_solve's large tall route. In
+        # blocks of at most 2**18 cells that is 5 blocks of 2,400 rows, filled
+        # in turn under R in one 2,501 x 101 buffer (0.21 of the design);
+        # a fit that builds the whole design first peaks above 1 x it
+        if linalg._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS with every routine of linalg._ROUTINES")
+        monkeypatch.setattr(linalg, "_BLOCK_CELLS", 2 ** 18)
+        data = make_dataset(np.random.default_rng(21), n=12_000, p=100, classification=True)
+        design_bytes = 12_000 * 101 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lls_train(data, LlsConfig(K=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.6 * design_bytes
+
     @pytest.mark.parametrize("epsilon", [1e-17, 0.0, 2.0])
     def test_arctanh_labels_applies_the_config_epsilon_rule(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
