@@ -254,7 +254,7 @@ class FakeThreads:
 def fake_openblas(threads=None, **lapack):
     """A stand-in for linalg._openblas(): the real library's routines of
     linalg._ROUTINES, with the LAPACK ones given by short name (gesdd=,
-    gelsd=, geqrt=, gemqrt=) swapped in and the thread count held by
+    gelsd=, geqrt=, gemqrt=, trtrs=) swapped in and the thread count held by
     `threads`, a new FakeThreads by default, so no test changes the
     process's count. Where
     numpy bundles no OpenBLAS, a LAPACK routine not given is None."""

@@ -562,10 +562,14 @@ class TestNumericFailure:
         assert isinstance(result.exception, SystemExit)
 
     def test_large_solve_that_does_not_converge_exits_1(self, runner, tmp_path, monkeypatch):
-        # 60,000 rows at K = 8 make a 60,000 x 17 design (1.02e6 cells),
-        # which the solve hands to dgelsd
+        # 60,000 rows at K = 8 make a 60,000 x 17 design (1.02e6 cells). With
+        # the second feature a copy of the first, its R fails the guard of the
+        # back-substitution, so the solve hands R to dgelsd
         monkeypatch.chdir(tmp_path)
-        invoke(runner, "gen", "two-moons", "--n", 60000, "--out", "big.csv")
+        invoke(runner, "gen", "two-moons", "--n", 60000, "--out", "moons.csv")
+        header, *rows = Path("moons.csv").read_text().splitlines()
+        copied = [f"{x1},{x1},{y}" for x1, _, y in (row.split(",") for row in rows)]
+        Path("big.csv").write_text("\n".join([header, *copied]) + "\n")
         lib = fake_openblas(gelsd=fake_gelsd(info=1))
         monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         result = invoke(runner, "train", "--data", "big.csv", "--method", "lls", "--K", 8,

@@ -352,10 +352,37 @@ class Rows:
         return out
 
 
+def spied_openblas(calls):
+    """fake_openblas with the real geqrt, gelsd and trtrs, each call recorded
+    in calls as (short name, m, n) for geqrt and gelsd and (short name, n,
+    nrhs) for trtrs."""
+    real = linalg._openblas()
+
+    def spy(short, dims):
+        routine = getattr(real, f"scipy_LAPACKE_d{short}_work64_")
+
+        def call(*args):
+            calls.append((short, *args[dims]))
+            return routine(*args)
+        return call
+
+    return fake_openblas(geqrt=spy("geqrt", slice(1, 3)), gelsd=spy("gelsd", slice(1, 3)),
+                         trtrs=spy("trtrs", slice(4, 6)))
+
+
+def back_substitution(n):
+    """The dtrtrs calls of a tall solve whose R passes the guard: the leading
+    k x k triangle of R on each 64-column slice j:k of the identity, then R
+    itself on the right-hand side."""
+    return ([("trtrs", min(n, j + 64), min(64, n - j)) for j in range(0, n, 64)]
+            + [("trtrs", n, 1)])
+
+
 class TestLargeRoute:
     """A design of more than _ONE_THREAD_MAX_CELLS cells is solved by LAPACK's
     least-squares driver dgelsd. A tall one (m >= int(1.6 n), where dgelsd
-    would QR first) is QR-factorized by dgeqrt, and dgelsd solves R."""
+    would QR first) is QR-factorized by dgeqrt, and R is back-substituted by
+    dtrtrs where ||R||_F ||R^-1||_F rcond <= 2**-10, else solved by dgelsd."""
 
     @pytest.fixture(autouse=True)
     def needs_the_library(self):
@@ -364,27 +391,19 @@ class TestLargeRoute:
     @pytest.mark.parametrize("shape, routines", [
         ((1000, 1000), None), ((20000, 41), None),
         ((1500, 1000), [("gelsd", 1500, 1000)] * 2),  # the workspace query, then the solve
-        ((3000, 400), [("geqrt", 3000, 400)] + [("gelsd", 400, 400)] * 2),
+        ((3000, 400), [("geqrt", 3000, 400)] + back_substitution(400)),
         # n = 800: int(1.6 n) = 1280 rows is dgelsd's own QR crossover (MNTHR)
-        ((1280, 800), [("geqrt", 1280, 800)] + [("gelsd", 800, 800)] * 2),
+        ((1280, 800), [("geqrt", 1280, 800)] + back_substitution(800)),
         ((1279, 800), [("gelsd", 1279, 800)] * 2)],
         ids=["square-svd", "narrow-svd", "wide-dgelsd", "tall-dgeqrt", "crossover-dgeqrt",
              "below-crossover-dgelsd"])
     def test_the_cell_limit_decides(self, monkeypatch, shape, routines):
-        calls, real = [], linalg._openblas()
-
-        def spy(short):
-            routine = getattr(real, f"scipy_LAPACKE_d{short}_work64_")
-
-            def call(*args):
-                calls.append((short, *args[1:3]))
-                return routine(*args)
-            return call
+        calls = []
 
         def stop(a, *, overwrite_a):
             raise Factorized(a)
 
-        lib = fake_openblas(geqrt=spy("geqrt"), gelsd=spy("gelsd"))
+        lib = spied_openblas(calls)
         monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         monkeypatch.setattr(linalg, "svd", stop)
         x, y = tall(shape)
@@ -440,9 +459,9 @@ class TestLargeRoute:
         assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
 
     def test_overwrite_factorizes_in_place_without_a_copy(self):
-        # dgelsd writes over x itself. The right-hand side, the singular
-        # values and the workspace come to about 0.05 of x here; the copy
-        # route peaks at about 1.04 of x
+        # dgeqrt writes over x itself. The right-hand side, T, the n x 64
+        # identity slices of the guard and the workspaces come to about 0.04
+        # of x here; the copy route peaks at about 1.04 of x
         x, y = tall((3000, 400))
         before_x = x.copy()
         expected = lls_solve(x, y)
@@ -499,6 +518,60 @@ class TestLargeRoute:
         bound = np.sqrt(3000) * np.finfo(float).eps * np.linalg.cond(x) * np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) <= bound
 
+    @pytest.mark.parametrize("blocked", [False, True], ids=["ndarray", "row-source-3-blocks"])
+    def test_back_substitution_matches_the_dgelsd_route_within_rounding(self, monkeypatch,
+                                                                        blocked):
+        # A stand-in dtrtrs that reports a zero on R's diagonal forces dgelsd.
+        # Bound as below; over seeds 0-14 of this shape the worst difference
+        # of the ndarray stayed 6.9 times below it.
+        monkeypatch.setattr(linalg, "_BLOCK_CELLS", self.BLOCK_CELLS)
+        x, y = tall((3000, 400))
+        design, calls = Rows(x) if blocked else x, []
+        forced, lib = fake_openblas(trtrs=lambda *args: 1), spied_openblas(calls)
+        monkeypatch.setattr(linalg, "_openblas", lambda: forced)
+        expected = lls_solve(design, y)
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
+        got = lls_solve(design, y)
+        assert calls == [("geqrt", rows, 400) for rows in ([1000, 1400, 1400] if blocked
+                                                           else [3000])] + back_substitution(400)
+        bound = np.sqrt(3000) * np.finfo(float).eps * np.linalg.cond(x) * np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= bound
+
+    @pytest.mark.parametrize("factor", [1e3, 1e-3], ids=["just-above-kept", "just-below-truncated"])
+    def test_a_singular_value_near_the_default_threshold_reaches_dgelsd(self, monkeypatch,
+                                                                      factor):
+        # TestLlsSolve's case on the large route, at a scale (s_max = 1e9) where
+        # dropping ||R||_F from the guard would pass it: s_min = factor * rcond
+        # * s_max puts ||R||_F ||R^-1||_F rcond above 1 / factor >= 1e-3 > 2**-10,
+        # so dgelsd solves R, and keeps s_min only above the threshold
+        rng = np.random.default_rng(8)
+        u, _ = np.linalg.qr(rng.normal(size=(3000, 400)))
+        v, _ = np.linalg.qr(rng.normal(size=(400, 400)))
+        s = 1e9 * np.r_[np.linspace(1.0, 0.5, 399), factor * np.finfo(float).eps * 3000]
+        x = np.asfortranarray(u @ np.diag(s) @ v.T)
+        calls = []
+        lib = spied_openblas(calls)
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
+        got = lls_solve(x, u[:, 0] + u[:, -1])
+        guard = calls[1:-2]  # the slices of R^-1 taken before the guard failed
+        assert calls == [("geqrt", 3000, 400)] + guard + [("gelsd", 400, 400)] * 2
+        assert guard and guard == back_substitution(400)[:len(guard)] and len(guard) < 8
+        kept = v[:, 0] / s[0] + (v[:, -1] / s[-1] if factor > 1 else 0.0)
+        np.testing.assert_allclose(got, kept, rtol=1e-2, atol=1e-2 * np.max(np.abs(kept)))
+
+    def test_a_zero_column_falls_back_to_the_minimum_norm_solution(self, monkeypatch):
+        # column 200 of R is exactly zero, so dtrtrs stops at the slice holding
+        # it, and dgelsd truncates that singular value
+        x, y = tall((3000, 400))
+        x[:, 200] = 0.0
+        calls = []
+        lib = spied_openblas(calls)
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
+        got = lls_solve(x, y)
+        assert calls == ([("geqrt", 3000, 400)] + back_substitution(400)[:4]
+                         + [("gelsd", 400, 400)] * 2)
+        np.testing.assert_allclose(got, pinv(x) @ y, rtol=0, atol=1e-12)
+
     def test_a_non_finite_cell_in_the_last_block_is_rejected(self, monkeypatch):
         monkeypatch.setattr(linalg, "_BLOCK_CELLS", self.BLOCK_CELLS)
         x, y = tall((3000, 400))
@@ -509,10 +582,12 @@ class TestLargeRoute:
         assert rows.fills == self.BLOCKS
 
     def test_a_blocked_solve_that_does_not_converge_raises(self, monkeypatch):
+        # the repeated column fails the guard, so R reaches dgelsd
         lib = fake_openblas(gelsd=fake_gelsd(info=1))
         monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         monkeypatch.setattr(linalg, "_BLOCK_CELLS", self.BLOCK_CELLS)
         x, y = tall((3000, 400))
+        x[:, -1] = x[:, 0]
         rows = Rows(x)
         with pytest.raises(NumericFailure, match=r"^SVD did not converge \(dgelsd info 1\)$"):
             lls_solve(rows, y)
@@ -520,10 +595,10 @@ class TestLargeRoute:
 
 
 def test_a_large_solve_that_does_not_converge_raises(monkeypatch):
-    # needs no OpenBLAS: the routine is a stand-in
+    # needs no OpenBLAS: a wide design calls only dgelsd, here a stand-in
     lib = fake_openblas(gelsd=fake_gelsd(info=1))
     monkeypatch.setattr(linalg, "_openblas", lambda: lib)
-    x, y = tall((3000, 400))
+    x, y = tall((1500, 1000))
     with pytest.raises(NumericFailure, match=r"^SVD did not converge \(dgelsd info 1\)$"):
         lls_solve(x, y)
 
