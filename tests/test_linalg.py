@@ -521,15 +521,16 @@ class TestLargeRoute:
     @pytest.mark.parametrize("blocked", [False, True], ids=["ndarray", "row-source-3-blocks"])
     def test_back_substitution_matches_the_dgelsd_route_within_rounding(self, monkeypatch,
                                                                         blocked):
-        # A stand-in dtrtrs that reports a zero on R's diagonal forces dgelsd.
-        # Bound as below; over seeds 0-14 of this shape the worst difference
-        # of the ndarray stayed 6.9 times below it.
+        # A guard that always fails forces dgelsd. Bound as below; over seeds
+        # 0-14 of this shape the worst difference of the ndarray stayed 6.9
+        # times below it.
         monkeypatch.setattr(linalg, "_BLOCK_CELLS", self.BLOCK_CELLS)
         x, y = tall((3000, 400))
         design, calls = Rows(x) if blocked else x, []
-        forced, lib = fake_openblas(trtrs=lambda *args: 1), spied_openblas(calls)
-        monkeypatch.setattr(linalg, "_openblas", lambda: forced)
-        expected = lls_solve(design, y)
+        with monkeypatch.context() as forced:
+            forced.setattr(linalg, "_back_substituted", lambda *args: False)
+            expected = lls_solve(design, y)
+        lib = spied_openblas(calls)
         monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         got = lls_solve(design, y)
         assert calls == [("geqrt", rows, 400) for rows in ([1000, 1400, 1400] if blocked
@@ -543,7 +544,8 @@ class TestLargeRoute:
         # TestLlsSolve's case on the large route, at a scale (s_max = 1e9) where
         # dropping ||R||_F from the guard would pass it: s_min = factor * rcond
         # * s_max puts ||R||_F ||R^-1||_F rcond above 1 / factor >= 1e-3 > 2**-10,
-        # so dgelsd solves R, and keeps s_min only above the threshold
+        # so dgelsd solves R, and keeps s_min only above the threshold; the
+        # bound from R's diagonal fails first below it, the slices of R^-1 above
         rng = np.random.default_rng(8)
         u, _ = np.linalg.qr(rng.normal(size=(3000, 400)))
         v, _ = np.linalg.qr(rng.normal(size=(400, 400)))
@@ -555,22 +557,41 @@ class TestLargeRoute:
         got = lls_solve(x, u[:, 0] + u[:, -1])
         guard = calls[1:-2]  # the slices of R^-1 taken before the guard failed
         assert calls == [("geqrt", 3000, 400)] + guard + [("gelsd", 400, 400)] * 2
-        assert guard and guard == back_substitution(400)[:len(guard)] and len(guard) < 8
+        assert guard == back_substitution(400)[:len(guard)] and bool(guard) == (factor > 1)
+        assert len(guard) < 8
         kept = v[:, 0] / s[0] + (v[:, -1] / s[-1] if factor > 1 else 0.0)
         np.testing.assert_allclose(got, kept, rtol=1e-2, atol=1e-2 * np.max(np.abs(kept)))
 
-    def test_a_zero_column_falls_back_to_the_minimum_norm_solution(self, monkeypatch):
-        # column 200 of R is exactly zero, so dtrtrs stops at the slice holding
-        # it, and dgelsd truncates that singular value
+    @pytest.mark.parametrize("column", [200, 399], ids=["zero-column", "repeated-last-column"])
+    def test_a_rank_deficient_r_reaches_dgelsd_without_dtrtrs(self, monkeypatch, column):
+        # A column in the span of the ones before it (a zero one, or a repeat
+        # of column 0, last, as the dependent DCT columns of an image set with
+        # an always-zero border) leaves r_ii at 0 or at rounding level, so
+        # the bound from R's diagonal fails the guard before any dtrtrs call,
+        # and dgelsd returns the minimum-norm solution
         x, y = tall((3000, 400))
-        x[:, 200] = 0.0
+        x[:, column] = x[:, 0] if column == 399 else 0.0
         calls = []
         lib = spied_openblas(calls)
         monkeypatch.setattr(linalg, "_openblas", lambda: lib)
         got = lls_solve(x, y)
-        assert calls == ([("geqrt", 3000, 400)] + back_substitution(400)[:4]
-                         + [("gelsd", 400, 400)] * 2)
+        assert calls == [("geqrt", 3000, 400)] + [("gelsd", 400, 400)] * 2
         np.testing.assert_allclose(got, pinv(x) @ y, rtol=0, atol=1e-12)
+
+    def test_the_guard_takes_its_norms_apart_so_their_product_cannot_overflow(self,
+                                                                              monkeypatch):
+        # ||R||_F = ||R^-1||_F ~ 1e78, so the product of their squares (1e312)
+        # is past the largest double, while ||R||_F ||R^-1||_F rcond ~ 1e-14
+        rng = np.random.default_rng(9)
+        q, _ = np.linalg.qr(rng.normal(size=(3000, 400)))
+        d = np.r_[1e78, 1e-78, np.linspace(1.0, 2.0, 398)]
+        x, y = np.asfortranarray(q * d), rng.normal(size=3000)
+        calls = []
+        lib = spied_openblas(calls)
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
+        got = lls_solve(x, y, rcond=1e-170)
+        assert calls == [("geqrt", 3000, 400)] + back_substitution(400)
+        np.testing.assert_allclose(got, (q.T @ y) / d, rtol=1e-9)
 
     def test_a_non_finite_cell_in_the_last_block_is_rejected(self, monkeypatch):
         monkeypatch.setattr(linalg, "_BLOCK_CELLS", self.BLOCK_CELLS)
